@@ -5,7 +5,9 @@
    campaign swept sequentially and in parallel, and records the result
    as an append-only BENCH_<n>.json point at the repo root (see
    Experiments.Perf for the format). `--compare OLD.json` turns the run
-   into a regression gate for CI.
+   into a regression gate for CI: every bench must execute exactly the
+   events it did at OLD (events are deterministic), and none may lose
+   more than --max-drop of its events/sec (wall clock, so noisy).
 
    Unlike bench/main.ml (Bechamel micro-benchmarks of single
    operations), this harness measures the end-to-end number the paper's
@@ -82,21 +84,25 @@ let compare_points ~against ~max_drop point =
       Printf.eprintf "perf: cannot parse %s: %s\n" against msg;
       exit 1
   in
-  match Perf.regressions ~before ~after:point ~max_drop with
-  | [] ->
-      Printf.printf "comparison vs %s (point %d, %S): ok, no bench dropped \
-                     more than %.0f%%\n"
-        against before.Perf.point before.Perf.label (max_drop *. 100.0)
-  | regs ->
-      List.iter
-        (fun r ->
-          Printf.eprintf
-            "perf: REGRESSION %s: %.0f -> %.0f events/sec (-%.1f%%, limit \
-             %.0f%%)\n"
-            r.Perf.bench r.Perf.before_eps r.Perf.after_eps
-            (r.Perf.drop *. 100.0) (max_drop *. 100.0))
-        regs;
-      exit 1
+  let regs = Perf.regressions ~before ~after:point ~max_drop in
+  let mismatches = Perf.event_mismatches ~before ~after:point in
+  List.iter
+    (fun r ->
+      Printf.eprintf
+        "perf: REGRESSION %s: %.0f -> %.0f events/sec (-%.1f%%, limit %.0f%%)\n"
+        r.Perf.bench r.Perf.before_eps r.Perf.after_eps (r.Perf.drop *. 100.0)
+        (max_drop *. 100.0))
+    regs;
+  List.iter
+    (fun (m : Perf.event_mismatch) ->
+      Printf.eprintf "perf: EVENTS CHANGED %s: %d -> %d (must match exactly)\n"
+        m.name m.before_events m.after_events)
+    mismatches;
+  if regs <> [] || mismatches <> [] then exit 1;
+  Printf.printf
+    "comparison vs %s (point %d, %S): ok, event counts identical, no bench \
+     dropped more than %.0f%%\n"
+    against before.Perf.point before.Perf.label (max_drop *. 100.0)
 
 let () =
   let quick = ref false in
@@ -123,7 +129,8 @@ let () =
       ("--no-campaign", Arg.Set no_campaign, " skip the campaign sweep");
       ( "--compare",
         Arg.Set_string compare_file,
-        "FILE fail if any bench drops more than --max-drop vs this point" );
+        "FILE fail if any bench's event count differs from this point, or \
+         its events/sec drops more than --max-drop" );
       ( "--max-drop",
         Arg.Set_float max_drop_pct,
         "PCT allowed events/sec drop for --compare (default 20)" );
@@ -135,7 +142,7 @@ let () =
   let repeats = if !quick then 1 else 3 in
   let results = List.map (run_macro ~repeats) macro_benches in
   List.iter
-    (fun r ->
+    (fun (r : Perf.result) ->
       Printf.printf "%-12s %9d events  %8.3f s  %12.0f events/sec\n"
         r.Perf.name r.Perf.events r.Perf.host_seconds (Perf.events_per_sec r))
     results;

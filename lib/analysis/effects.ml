@@ -2,7 +2,7 @@
 
    A fixpoint over the whole-program call graph computing, for every
    toplevel binding in the tree, whether calling it can reach a
-   cooperative blocking point (Engine sleep/suspend, Ivar/Mailbox
+   cooperative blocking point (Engine sleep/park, Ivar/Mailbox
    waits, Rpc.call, disk and cache waits, ...). Seeds are (a) nodes
    whose own id matches a primitive blocking suffix — [Sim.Engine.sleep]
    IS the primitive; its body has nothing deeper to point at — and
@@ -23,7 +23,7 @@
 let blocking_suffixes =
   [
     [ "Engine"; "sleep" ];
-    [ "Engine"; "suspend" ];
+    [ "Engine"; "park" ];
     [ "Engine"; "yield" ];
     [ "Ivar"; "read" ];
     [ "Ivar"; "read_timeout" ];

@@ -17,7 +17,7 @@ type block = {
   mutable fetching : (int * int) Sim.Ivar.t option;
   mutable w : wstate;
   mutable doomed : bool; (* deleted while a write/fetch was in flight *)
-  mutable write_waiters : (unit -> unit) list;
+  mutable write_waiters : Sim.Engine.slot list;
   (* Intrusive links. A self-loop ([b.lru_next == b]) means "not
      linked on that side": option links would allocate a [Some] box on
      every touch, and the LRU is touched once per cache hit. The LRU
@@ -29,7 +29,7 @@ type block = {
   mutable fnext : block;
 }
 
-type pending = { mutable count : int; mutable waiters : (unit -> unit) list }
+type pending = { mutable count : int; mutable waiters : Sim.Engine.slot list }
 
 type t = {
   engine : Sim.Engine.t;
@@ -347,13 +347,14 @@ let blocks_of_file t ~file =
 let wake_write_waiters b =
   let ws = List.rev b.write_waiters in
   b.write_waiters <- [];
-  List.iter (fun w -> w ()) ws
+  List.iter Sim.Engine.unpark ws
 
 let wait_write t b =
   match b.w with
   | Writing _ ->
-      Sim.Engine.suspend t.engine (fun resume ->
-          b.write_waiters <- (fun () -> resume ()) :: b.write_waiters)
+      let s = Sim.Engine.slot () in
+      b.write_waiters <- s :: b.write_waiters;
+      Sim.Engine.park t.engine s
   | Clean | Dirty _ -> ()
 
 (* Write the block back if dirty; blocks the caller until the block is
@@ -443,7 +444,7 @@ let pending_decr t file =
     let ws = List.rev p.waiters in
     p.waiters <- [];
     Hashtbl.remove t.pending file;
-    List.iter (fun w -> w ()) ws
+    List.iter Sim.Engine.unpark ws
   end
 
 let wait_pending t ~file =
@@ -451,8 +452,9 @@ let wait_pending t ~file =
   | None -> ()
   | Some p ->
       if p.count > 0 then
-        Sim.Engine.suspend t.engine (fun resume ->
-            p.waiters <- (fun () -> resume ()) :: p.waiters)
+        let s = Sim.Engine.slot () in
+        p.waiters <- s :: p.waiters;
+        Sim.Engine.park t.engine s
 
 (* ---- public data path ---- *)
 

@@ -339,3 +339,18 @@ let regressions ~before ~after ~max_drop =
               Some { bench = a.name; before_eps = b_eps; after_eps = a_eps; drop }
             else None)
     after.results
+
+(* Events are deterministic: the same code on the same seed executes
+   the same events on any machine, so unlike the wall-clock gate above
+   this one has no tolerance. A changed count means the simulation
+   itself changed, and a new point has to record that on purpose. *)
+type event_mismatch = { name : string; before_events : int; after_events : int }
+
+let event_mismatches ~before ~after =
+  List.filter_map
+    (fun (a : result) ->
+      match find_result before a.name with
+      | Some b when b.events <> a.events ->
+          Some { name = a.name; before_events = b.events; after_events = a.events }
+      | _ -> None)
+    after.results

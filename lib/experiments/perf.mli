@@ -104,3 +104,13 @@ type regression = {
     [after]. Empty means the comparison passes. *)
 val regressions :
   before:point -> after:point -> max_drop:float -> regression list
+
+(** A benchmark present in both points whose simulation executed a
+    different number of events. *)
+type event_mismatch = { name : string; before_events : int; after_events : int }
+
+(** Benchmarks present in both points whose [events] differ. Event
+    counts are deterministic, so this is an exact gate that runs next
+    to the wall-clock {!regressions} one: empty means the simulation is
+    unchanged. *)
+val event_mismatches : before:point -> after:point -> event_mismatch list

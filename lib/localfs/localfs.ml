@@ -25,6 +25,23 @@ let error_to_string = function
   | Stale -> "stale file handle"
   | Again -> "resource temporarily unavailable"
 
+let error_name = function
+  | Noent -> "Noent"
+  | Exist -> "Exist"
+  | Notdir -> "Notdir"
+  | Isdir -> "Isdir"
+  | Notempty -> "Notempty"
+  | Stale -> "Stale"
+  | Again -> "Again"
+
+(* Without a printer the runtime renders the constant constructor by
+   its index, Localfs.Error(1); failure reports (a process killed by
+   this exception, say) should name it. *)
+let () =
+  Printexc.register_printer (function
+    | Error e -> Some (Printf.sprintf "Localfs.Error(%s)" (error_name e))
+    | _ -> None)
+
 let fail e = raise (Error e)
 
 type meta_policy = [ `Sync | `Delayed ]

@@ -131,6 +131,48 @@ let heal t a b =
     partition_event t "heal" a b
   end
 
+(* One message in flight. Its transmission-end and delivery events both
+   work from this record, rather than each capturing its own copy of
+   the send's arguments. *)
+type message = {
+  mnet : t;
+  msrc : host;
+  mdst : host;
+  wire_bytes : int;
+  dropped : bool; (* decided at send time *)
+  deliver : unit -> unit;
+}
+
+let arrive m =
+  let t = m.mnet in
+  if m.dropped then begin
+    t.messages_dropped <- t.messages_dropped + 1;
+    if Obs.Metrics.on () then
+      Obs.Metrics.incr
+        ~labels:[ ("host", m.msrc.hname) ]
+        "net_messages_dropped_total";
+    if Obs.Trace.on () then
+      Obs.Trace.instant ~ts:(Sim.Engine.now t.engine) ~cat:"net" ~name:"drop"
+        ~track:"net"
+        ~args:
+          [ ("src", Obs.Trace.Str m.msrc.hname);
+            ("dst", Obs.Trace.Str m.mdst.hname);
+            ("bytes", Obs.Trace.Int m.wire_bytes) ]
+        ()
+  end
+  else if m.mdst.hup then m.deliver ()
+
+(* The jitter draw happens at transmission end, so the random stream
+   follows the order in which transmissions finish. *)
+let transmitted m =
+  let t = m.mnet in
+  let delay =
+    t.params.latency
+    +. (if t.params.jitter > 0.0 then Sim.Rand.float t.rand *. t.params.jitter
+        else 0.0)
+  in
+  Sim.Engine.after t.engine delay (fun () -> arrive m)
+
 let send t ~src ~dst ~bytes ~deliver =
   if bytes < 0 then invalid_arg "Net.send: negative size";
   if not src.hup then () (* a dead host transmits nothing *)
@@ -159,35 +201,11 @@ let send t ~src ~dst ~bytes ~deliver =
        the medium is a FIFO reservation (Resource.reserve), and the
        transmission end + propagation delay are plain scheduled events.
        A per-message fiber here was the single biggest allocator in an
-       RPC round trip. The jitter draw still happens at transmission
-       end, exactly where the old per-message process drew it, so the
-       random stream is unchanged. *)
+       RPC round trip. *)
     let finish =
       Sim.Resource.reserve t.medium
         (float_of_int wire_bytes /. t.params.bandwidth)
     in
-    Sim.Engine.at t.engine finish (fun () ->
-        let delay =
-          t.params.latency
-          +. (if t.params.jitter > 0.0 then
-                Sim.Rand.float t.rand *. t.params.jitter
-              else 0.0)
-        in
-        Sim.Engine.after t.engine delay @@ fun () ->
-        if dropped then begin
-          t.messages_dropped <- t.messages_dropped + 1;
-          if Obs.Metrics.on () then
-            Obs.Metrics.incr
-              ~labels:[ ("host", src.hname) ]
-              "net_messages_dropped_total";
-          if Obs.Trace.on () then
-            Obs.Trace.instant ~ts:(Sim.Engine.now t.engine) ~cat:"net"
-              ~name:"drop" ~track:"net"
-              ~args:
-                [ ("src", Obs.Trace.Str src.hname);
-                  ("dst", Obs.Trace.Str dst.hname);
-                  ("bytes", Obs.Trace.Int wire_bytes) ]
-              ()
-        end
-        else if dst.hup then deliver ())
+    let m = { mnet = t; msrc = src; mdst = dst; wire_bytes; dropped; deliver } in
+    Sim.Engine.at t.engine finish (fun () -> transmitted m)
   end

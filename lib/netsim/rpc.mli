@@ -11,7 +11,22 @@
       data), so network transmission times are meaningful.
 
     Executed calls are counted per procedure name; the tables of the
-    paper are read off these counters. *)
+    paper are read off these counters.
+
+    How a round trip is built. Each {!call} makes one call record, and
+    everything else is a top-level function over it: the client
+    process, the delivery of each transmission, each execution at the
+    server and the delivery of the reply. Per attempt, the client
+    transmits, arms that attempt's retransmission timer, and parks in
+    the record's {!Sim.Engine.slot}; the reply's delivery or the timer,
+    whichever comes first, unparks it, and the record says which. A
+    request the duplicate-request cache has not seen gets a request
+    record and one spawned process, which holds a thread of the
+    program's pool for the whole execution. A null call with no loss
+    is eight engine events: client CPU, transmission end, delivery,
+    server process start, server CPU, transmission end, delivery of the
+    reply (which wakes the client), and the spent retransmission timer.
+    test_alloc pins that count and the round trip's allocation. *)
 
 type t
 
@@ -115,9 +130,12 @@ val thread_pool : service -> Sim.Semaphore.t
     {!Server_unavailable} escapes, after the budget is spent. Each
     round is a fresh call with a fresh XID, so a round whose reply was
     merely lost can be re-executed at the server (within one round the
-    duplicate-request cache still deduplicates retransmissions):
-    budgeted calls should be idempotent, which NFS-style procedures
-    are.
+    duplicate-request cache still deduplicates retransmissions, until a
+    server reboot empties it). That is harmless only for idempotent
+    procedures. CREATE, MKDIR, REMOVE and RENAME are not idempotent: a
+    re-executed one fails with EEXIST or ENOENT although its first
+    execution succeeded. Exactly-once semantics for them is open work,
+    item 2 of ROADMAP.md.
 
     [?ctx] (default {!Obs.Causal.none}) is the issuing operation's
     causal context: it tags the call's client span, rides the request

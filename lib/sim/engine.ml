@@ -4,6 +4,9 @@ type t = {
      to a mutable float field allocates a fresh box, and the dispatch
      loop stores the clock once per event. A float array cell is
      unboxed storage, so advancing the clock allocates nothing. *)
+  wake : float array;
+      (* [0]: the wake-up time [sleep] hands to its effect handler, in
+         a cell for the same reason as [now] *)
   mutable seq : int;
   mutable stopped : bool;
   mutable events : int; (* events executed since creation *)
@@ -16,19 +19,44 @@ type t = {
          [seq] counter, and dispatch merges them by comparing full
          (time, seq) keys, so the execution order is exactly what a
          single heap would produce. *)
+  mutable parking : slot;
+      (* the slot [park] hands to its effect handler; it keeps pointing
+         at the last one used, which holds nothing once unparked *)
+  (* The two suspensions, built once per engine: the effect value each
+     one performs, and the [Some handler] its effect clause answers
+     with. Performing [Sleep t] or [Park t] therefore allocates only
+     the continuation and, for [sleep], its wake-up event. *)
+  sleep_eff : unit Effect.t;
+  on_sleep : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  park_eff : unit Effect.t;
+  on_park : ((unit, unit) Effect.Deep.continuation -> unit) option;
 }
 
-type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+and slot = { mutable parked : (unit, unit) Effect.Deep.continuation option }
+
+type _ Effect.t += Sleep : t -> unit Effect.t | Park : t -> unit Effect.t
 
 let create () =
-  let t =
+  let rec t =
     {
       now = [| 0.0 |];
+      wake = [| 0.0 |];
       seq = 0;
       stopped = false;
       events = 0;
       queue = Eventq.create ();
       timers = Eventq.create ();
+      parking = { parked = None };
+      sleep_eff = Sleep t;
+      on_sleep =
+        Some
+          (fun k ->
+            let seq = t.seq in
+            t.seq <- seq + 1;
+            Eventq.push t.queue ~time:t.wake.(0) ~seq (fun () ->
+                Effect.Deep.continue k ()));
+      park_eff = Park t;
+      on_park = Some (fun k -> t.parking.parked <- Some k);
     }
   in
   (* registered at creation, so the gauges exist whenever a registry is
@@ -73,26 +101,34 @@ let () =
              (Printexc.to_string e))
     | _ -> None)
 
-let run_process name fn =
-  let open Effect.Deep in
-  match_with fn ()
-    {
-      retc = (fun () -> ());
-      exnc =
-        (fun e ->
-          let bt = Printexc.get_raw_backtrace () in
-          raise (Process_failure (name, e, bt)));
-      effc =
-        (fun (type b) (eff : b Effect.t) ->
-          match eff with
-          | Suspend register ->
-              Some
-                (fun (k : (b, _) continuation) ->
-                  register (fun v -> continue k v))
-          | _ -> None);
-    }
+(* One handler for every process of every engine: the dedicated
+   effects carry their engine, and the process name lives in the
+   process body (below), so [spawn] allocates no handler record and no
+   per-process handler closures. *)
+let handler : (unit, unit) Effect.Deep.handler =
+  {
+    retc = (fun () -> ());
+    exnc = (fun e -> raise e);
+    effc =
+      (fun (type b) (eff : b Effect.t) :
+           ((b, unit) Effect.Deep.continuation -> unit) option ->
+        match eff with
+        | Sleep t -> t.on_sleep
+        | Park t -> t.on_park
+        | _ -> None);
+  }
 
-let spawn t ?(name = "anon") fn = after t 0.0 (fun () -> run_process name fn)
+let spawn t ?(name = "anon") fn =
+  (* the failure is named inside the fiber, where the name is in
+     scope; the shared handler's [exnc] only re-raises it *)
+  let body () =
+    match fn () with
+    | () -> ()
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        raise (Process_failure (name, e, bt))
+  in
+  after t 0.0 (fun () -> Effect.Deep.match_with body () handler)
 
 let stop t = t.stopped <- true
 
@@ -130,10 +166,24 @@ let run_until t limit =
   dispatch_until t limit;
   if t.now.(0) < limit then t.now.(0) <- limit
 
-let suspend (_t : t) register = Effect.perform (Suspend register)
-
 let sleep t d =
   if d < 0.0 then invalid_arg "Engine.sleep: negative duration";
-  suspend t (fun resume -> after t d (fun () -> resume ()))
+  t.wake.(0) <- t.now.(0) +. d;
+  Effect.perform t.sleep_eff
 
 let yield t = sleep t 0.0
+
+let slot () = { parked = None }
+let parked s = match s.parked with Some _ -> true | None -> false
+
+let park t s =
+  if parked s then invalid_arg "Engine.park: slot already holds a process";
+  t.parking <- s;
+  Effect.perform t.park_eff
+
+let unpark s =
+  match s.parked with
+  | None -> invalid_arg "Engine.unpark: no process parked"
+  | Some k ->
+      s.parked <- None;
+      Effect.Deep.continue k ()

@@ -2,10 +2,16 @@
 
     The engine owns a virtual clock and an event queue. Processes are
     ordinary OCaml functions run under an effect handler; inside a
-    process, {!sleep} and {!suspend} block the process (in virtual
-    time) without blocking the host program. All scheduling is
+    process, {!sleep} and {!park} block the process (in virtual time)
+    without blocking the host program. All scheduling is
     deterministic: simultaneous events fire in the order they were
-    scheduled. *)
+    scheduled.
+
+    Each of the two suspensions has its own effect, answered without
+    building closures, so a wait costs its continuation (plus, for
+    [sleep], the wake-up event). Waits that hand a value to the woken
+    process ({!Ivar}, {!Mailbox}) park in a slot and leave the value
+    in their own state. *)
 
 type t
 
@@ -61,11 +67,26 @@ val run_until : t -> float -> unit
 (** Block the calling process for the given virtual duration. *)
 val sleep : t -> float -> unit
 
-(** [suspend t register] blocks the calling process. [register] is
-    called immediately with a [resume] function; the process continues,
-    with the value passed, when [resume] is invoked. [resume] must be
-    called exactly once. *)
-val suspend : t -> (('a -> unit) -> unit) -> 'a
+(** A place where one process waits until something wakes it. Parking
+    allocates only the continuation. Whatever the woken process needs
+    (a reply, a message) travels through the caller's own record that
+    holds the slot, such as the RPC client's call record. *)
+type slot
+
+(** A fresh, empty slot. *)
+val slot : unit -> slot
+
+(** [park t s] blocks the calling process until {!unpark}[ s].
+    Raises [Invalid_argument] if [s] already holds a process. *)
+val park : t -> slot -> unit
+
+(** [unpark s] resumes the process parked in [s], synchronously: it
+    runs until its next suspension before [unpark] returns. Raises
+    [Invalid_argument] if no process is parked. *)
+val unpark : slot -> unit
+
+(** Whether a process is parked in the slot. *)
+val parked : slot -> bool
 
 (** Reschedule the calling process after all events already queued at
     the current instant. *)

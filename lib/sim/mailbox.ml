@@ -1,9 +1,11 @@
+(* A blocked receiver: [send] hands it the message directly. A waiter
+   whose [recv_timeout] expired is no longer parked and is skipped. *)
+type 'a waiter = { slot : Engine.slot; mutable got : 'a option }
+
 type 'a t = {
   engine : Engine.t;
   items : 'a Queue.t;
-  (* Waiters get a message directly; the bool result of the waiter says
-     whether it actually consumed the message (it may have timed out). *)
-  mutable waiters : ('a -> bool) Queue.t;
+  waiters : 'a waiter Queue.t;
 }
 
 let create engine = { engine; items = Queue.create (); waiters = Queue.create () }
@@ -17,37 +19,35 @@ let send t v =
     if Queue.is_empty t.waiters then Queue.push v t.items
     else begin
       let w = Queue.pop t.waiters in
-      if not (w v) then deliver ()
+      if Engine.parked w.slot then begin
+        w.got <- Some v;
+        Engine.unpark w.slot
+      end
+      else deliver ()
     end
   in
   deliver ()
 
+(* Parks the caller until a message arrives or, with [timeout], until
+   it elapses; the message, or [None] *)
+let await ?timeout t =
+  let w = { slot = Engine.slot (); got = None } in
+  Queue.push w t.waiters;
+  (match timeout with
+  | None -> ()
+  | Some d ->
+      Engine.after t.engine d (fun () ->
+          if Engine.parked w.slot then Engine.unpark w.slot));
+  Engine.park t.engine w.slot;
+  w.got
+
 let recv t =
   if not (Queue.is_empty t.items) then Queue.pop t.items
   else
-    Engine.suspend t.engine (fun resume ->
-        Queue.push
-          (fun v ->
-            resume v;
-            true)
-          t.waiters)
+    match await t with
+    | Some v -> v
+    | None -> assert false (* only [send] wakes a receiver without a timeout *)
 
 let recv_timeout t timeout =
   if not (Queue.is_empty t.items) then Some (Queue.pop t.items)
-  else
-    Engine.suspend t.engine (fun resume ->
-        let fired = ref false in
-        Queue.push
-          (fun v ->
-            if !fired then false
-            else begin
-              fired := true;
-              resume (Some v);
-              true
-            end)
-          t.waiters;
-        Engine.after t.engine timeout (fun () ->
-            if not !fired then begin
-              fired := true;
-              resume None
-            end))
+  else await ~timeout t

@@ -3,7 +3,7 @@ type t = {
   name : string;
   capacity : int;
   mutable held : int;
-  waiters : (unit -> unit) Queue.t;
+  waiters : Engine.slot Queue.t; (* blocked acquirers, FIFO *)
   (* float array cells, not mutable float fields: in a mixed record
      every store to a mutable float field boxes, and these are written
      on every acquire/release/reserve on the hot RPC and disk paths *)
@@ -53,15 +53,15 @@ let note_released t =
 let acquire t =
   if t.held < t.capacity then note_acquired t
   else begin
-    Engine.suspend t.engine (fun resume -> Queue.push resume t.waiters);
+    let s = Engine.slot () in
+    Queue.push s t.waiters;
+    Engine.park t.engine s;
     note_acquired t
   end
 
 let release t =
   note_released t;
-  if not (Queue.is_empty t.waiters) then
-    let w = Queue.pop t.waiters in
-    w ()
+  if not (Queue.is_empty t.waiters) then Engine.unpark (Queue.pop t.waiters)
 
 let use t dur =
   acquire t;

@@ -1,7 +1,7 @@
 type t = {
   engine : Engine.t;
   mutable units : int;
-  waiters : (unit -> unit) Queue.t;
+  waiters : Engine.slot Queue.t; (* blocked acquirers, FIFO *)
 }
 
 let create engine n =
@@ -15,7 +15,9 @@ let waiting t = Queue.length t.waiters
 let acquire t =
   if t.units > 0 then t.units <- t.units - 1
   else
-    Engine.suspend t.engine (fun resume -> Queue.push resume t.waiters)
+    let s = Engine.slot () in
+    Queue.push s t.waiters;
+    Engine.park t.engine s
 
 let try_acquire t =
   if t.units > 0 then begin
@@ -26,9 +28,7 @@ let try_acquire t =
 
 let release t =
   if Queue.is_empty t.waiters then t.units <- t.units + 1
-  else
-    let w = Queue.pop t.waiters in
-    w ()
+  else Engine.unpark (Queue.pop t.waiters)
 
 let with_unit t fn =
   acquire t;

@@ -1,7 +1,7 @@
 type t = {
   engine : Engine.t;
   mutable count : int;
-  mutable waiters : (unit -> unit) list;
+  mutable waiters : Engine.slot list; (* newest first *)
 }
 
 let create engine = { engine; count = 0; waiters = [] }
@@ -13,7 +13,7 @@ let add t ?(n = 1) () =
 let release t =
   let ws = List.rev t.waiters in
   t.waiters <- [];
-  List.iter (fun w -> w ()) ws
+  List.iter Engine.unpark ws
 
 let done_ t =
   if t.count <= 0 then invalid_arg "Waitgroup.done_: below zero";
@@ -21,8 +21,10 @@ let done_ t =
   if t.count = 0 then release t
 
 let wait t =
-  if t.count > 0 then
-    Engine.suspend t.engine (fun resume ->
-        t.waiters <- (fun () -> resume ()) :: t.waiters)
+  if t.count > 0 then begin
+    let s = Engine.slot () in
+    t.waiters <- s :: t.waiters;
+    Engine.park t.engine s
+  end
 
 let outstanding t = t.count

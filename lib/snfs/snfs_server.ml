@@ -558,9 +558,6 @@ let start_laundromat ?(lease = 120.0) ?(courtesy_lifetime = 300.0) t ~interval =
   in
   Sim.Engine.spawn engine ~name:"snfs.laundromat" loop
 
-let start_client_reaper ?(idle = 120.0) t ~interval =
-  start_laundromat ~lease:idle ~courtesy_lifetime:0.0 t ~interval
-
 type lifecycle_stats = {
   laundromat_runs : int;
   demotions : int;

@@ -103,22 +103,5 @@ type lifecycle_stats = {
 
 val lifecycle_stats : t -> lifecycle_stats
 
-(** Start the client-crash detector of Section 2.4: clients holding
-    state that have been silent for [idle] seconds are pinged every
-    [interval]; a client that does not answer is forgotten (its opens
-    are dropped and files it may have dirtied are flagged
-    inconsistent). Sprite detected crashes "by tracking the passage of
-    RPC packets, and using periodic keepalive packets" — this is that
-    mechanism, server-side.
-
-    @deprecated This is now a thin shim over {!start_laundromat} with
-    [~lease:idle ~courtesy_lifetime:0.0] — the one-step Active-to-reaped
-    behavior, with one caveat: the demotion and the reap happen in the
-    same laundromat pass, so a client is forgotten one probe timeout
-    (not one extra interval) after it goes silent, exactly as before.
-    New code should call {!start_laundromat} and give clients a real
-    courtesy lifetime. *)
-val start_client_reaper : ?idle:float -> t -> interval:float -> unit
-
 (** Clients forgotten by the laundromat so far (any state). *)
 val clients_reaped : t -> int

@@ -11,7 +11,14 @@
    is calibrated against an [ignore]-only baseline; a true zero-
    allocation path measures the same delta as doing nothing at all.
    Allocation accounting is only exact on the native-code backend, so
-   the tests are skipped under bytecode. *)
+   the tests are skipped under bytecode.
+
+   The suspension and RPC round-trip paths cannot be free (a blocked
+   process is a continuation, and every event is a closure), so they
+   get upper-bound budgets instead, measured the same way. The budgets
+   sit a little above what the paths allocate today (DESIGN.md section
+   11.1, rule 8, gives the figures): tight enough that bringing back a
+   per-suspension closure or a per-call [Some] box fails here. *)
 
 let native =
   match Sys.backend_type with
@@ -141,6 +148,72 @@ let test_xdr_round_trip () =
       done;
       Xdr.Dec.check_done dec)
 
+let check_budget name ~words f =
+  if native then begin
+    f ();
+    let used = measure f in
+    if used > words then
+      Alcotest.failf "%s allocates %.0f minor words; the budget is %.0f" name
+        used words
+  end
+
+(* Runs [f] as the body of one process and drains the engine. *)
+let in_process f =
+  let e = Sim.Engine.create () in
+  Sim.Engine.spawn e ~name:"test" (fun () -> f e);
+  Sim.Engine.run e
+
+let test_sleep_budget () =
+  (* the continuation plus its wake-up event; no register or resume
+     closures, no effect payload *)
+  in_process (fun e ->
+      check_budget "Engine.sleep" ~words:10.0 (fun () -> Sim.Engine.sleep e 1.0))
+
+let test_spawn_budget () =
+  (* from outside any process: spawning, starting the fiber under the
+     shared handler and running it to completion *)
+  let e = Sim.Engine.create () in
+  let body () = () in
+  check_budget "spawn to completion" ~words:24.0 (fun () ->
+      Sim.Engine.spawn e body;
+      Sim.Engine.run e)
+
+let null_handler ~caller:_ ~ctx:_ ~proc:_ _args =
+  { Netsim.Rpc.data = Bytes.empty; bulk = 0 }
+
+(* a client and a server on one network, with a no-op program *)
+let null_world e =
+  let net = Netsim.Net.create e () in
+  let rpc = Netsim.Rpc.create net () in
+  let client = Netsim.Net.Host.create net "client" in
+  let server = Netsim.Net.Host.create net "server" in
+  ignore (Netsim.Rpc.serve rpc server ~prog:"null" ~threads:2 null_handler);
+  fun () ->
+    ignore
+      (Netsim.Rpc.call rpc ~src:client ~dst:server ~prog:"null" ~proc:"null"
+         Bytes.empty)
+
+let test_null_rpc_budget () =
+  (* both hosts' CPU charges, two transmissions, the server's spawned
+     request, the client's wait and the retransmission timer *)
+  in_process (fun e ->
+      let call = null_world e in
+      check_budget "null Rpc.call round trip" ~words:180.0 call;
+      Sim.Engine.stop e)
+
+let test_null_rpc_events () =
+  (* The event-stream contract the allocation work must keep: client
+     CPU, transmission end, delivery, server process start, server CPU,
+     transmission end, delivery (which wakes the client), and the dead
+     retransmission timer. The engine runs one more event, the spawn
+     of the calling process. *)
+  let e = Sim.Engine.create () in
+  let call = null_world e in
+  Sim.Engine.spawn e ~name:"client" call;
+  Sim.Engine.run e;
+  Alcotest.(check int) "events of one null RPC" 8
+    (Sim.Engine.events_executed e - 1)
+
 let test_measure_sanity () =
   (* the harness itself must see allocation when there is some *)
   if native then begin
@@ -161,5 +234,12 @@ let () =
           Alcotest.test_case "eventq order key" `Quick test_eventq_order_key;
           Alcotest.test_case "xdr round trip" `Quick test_xdr_round_trip;
           Alcotest.test_case "harness sanity" `Quick test_measure_sanity;
+        ] );
+      ( "suspension and RPC budgets",
+        [
+          Alcotest.test_case "sleep" `Quick test_sleep_budget;
+          Alcotest.test_case "spawn to completion" `Quick test_spawn_budget;
+          Alcotest.test_case "null RPC round trip" `Quick test_null_rpc_budget;
+          Alcotest.test_case "null RPC events" `Quick test_null_rpc_events;
         ] );
     ]

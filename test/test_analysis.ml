@@ -295,6 +295,18 @@ let test_yield_race_hashtbl_and_ref () =
         \  ignore v\n";
     ]
 
+let test_yield_race_park () =
+  (* a process parked in a slot yields like one that sleeps *)
+  check_fires "field read across park" "yield-race"
+    [
+      input "lib/a.ml"
+        "type c = { mutable reply : int; wait : Sim.Engine.slot }\n\
+         let f c e =\n\
+        \  let r = c.reply in\n\
+        \  Sim.Engine.park e c.wait;\n\
+        \  use r\n";
+    ]
+
 let test_yield_race_local_wrapper_fixpoint () =
   (* the per-module fixpoint: [call] blocks because its body does *)
   check_fires "local blocking wrapper" "yield-race"
@@ -1131,6 +1143,8 @@ let () =
             test_yield_race_claim_and_clear_ok;
           Alcotest.test_case "Hashtbl.find and !ref sources" `Quick
             test_yield_race_hashtbl_and_ref;
+          Alcotest.test_case "park is a yield point" `Quick
+            test_yield_race_park;
           Alcotest.test_case "local wrapper fixpoint" `Quick
             test_yield_race_local_wrapper_fixpoint;
           Alcotest.test_case "deferred lambdas don't block" `Quick

@@ -1,6 +1,7 @@
 (* Tests for the BENCH_<n>.json perf-trajectory schema
    (Experiments.Perf): fixed key order, exact round-trips, append-only
-   writes, and the regression comparison CI's bench smoke job runs. *)
+   writes, and the two comparisons CI's bench smoke job runs (events/sec
+   within a tolerance, event counts exactly). *)
 
 module Perf = Experiments.Perf
 
@@ -163,6 +164,41 @@ let test_regressions () =
     "same point passes" true
     (Perf.regressions ~before ~after:before ~max_drop:0.20 = [])
 
+let test_event_gate () =
+  let before = sample_point in
+  (* wall clock may move freely; the events must not *)
+  let same_events =
+    {
+      sample_point with
+      Perf.results =
+        [
+          { Perf.name = "andrew_nfs"; events = 52185; host_seconds = 0.05 };
+          { Perf.name = "andrew_snfs"; events = 41903; host_seconds = 0.001 };
+          { Perf.name = "andrew_new"; events = 7; host_seconds = 0.001 };
+        ];
+    }
+  in
+  Alcotest.(check bool)
+    "matching event counts pass" true
+    (Perf.event_mismatches ~before ~after:same_events = []);
+  let one_more =
+    {
+      sample_point with
+      Perf.results =
+        [
+          { Perf.name = "andrew_nfs"; events = 52185; host_seconds = 0.025 };
+          { Perf.name = "andrew_snfs"; events = 41904; host_seconds = 0.0125 };
+        ];
+    }
+  in
+  match Perf.event_mismatches ~before ~after:one_more with
+  | [ m ] ->
+      Alcotest.(check string) "changed bench" "andrew_snfs" m.Perf.name;
+      Alcotest.(check (pair int int))
+        "before and after" (41903, 41904)
+        (m.Perf.before_events, m.Perf.after_events)
+  | other -> Alcotest.failf "expected one mismatch, got %d" (List.length other)
+
 let () =
   Alcotest.run "bench_json"
     [
@@ -180,5 +216,6 @@ let () =
           Alcotest.test_case "append-only write" `Quick
             test_write_refuses_overwrite;
           Alcotest.test_case "regression gate" `Quick test_regressions;
+          Alcotest.test_case "event-count gate" `Quick test_event_gate;
         ] );
     ]

@@ -46,6 +46,11 @@ let test_create_duplicate () =
       Alcotest.check_raises "exists" (Localfs.Error Localfs.Exist) (fun () ->
           ignore (Localfs.create_file fs ~dir:root "x")))
 
+let test_error_printer () =
+  Alcotest.(check string)
+    "constructor named" "Localfs.Error(Exist)"
+    (Printexc.to_string (Localfs.Error Localfs.Exist))
+
 let test_mkdir_and_nesting () =
   run_sim (fun e ->
       let fs, _ = make_fs e in
@@ -244,6 +249,7 @@ let () =
           Alcotest.test_case "create/lookup" `Quick test_create_lookup;
           Alcotest.test_case "lookup missing" `Quick test_lookup_missing;
           Alcotest.test_case "duplicate create" `Quick test_create_duplicate;
+          Alcotest.test_case "error printer" `Quick test_error_printer;
           Alcotest.test_case "mkdir nesting" `Quick test_mkdir_and_nesting;
           Alcotest.test_case "readdir" `Quick test_readdir;
           Alcotest.test_case "rename" `Quick test_rename;

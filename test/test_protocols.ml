@@ -684,7 +684,8 @@ let test_snfs_client_reaper () =
   run_sim (fun e ->
       let w = make_world e in
       let server = Snfs_setup.get w in
-      Snfs.Snfs_server.start_client_reaper server ~idle:30.0 ~interval:20.0;
+      Snfs.Snfs_server.start_laundromat ~lease:30.0 ~courtesy_lifetime:0.0
+        server ~interval:20.0;
       let h1, _, m1 = snfs_client w "c1" in
       let fd = Vfs.Fileio.creat m1 "/held-open" in
       ignore (Vfs.Fileio.write fd ~len:4096);

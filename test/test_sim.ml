@@ -125,6 +125,38 @@ let test_process_exception_propagates () =
   | () -> Alcotest.fail "exception should propagate"
   | exception _ -> ()
 
+let test_process_failure_named () =
+  (* the failure is raised after a suspension, from the event that
+     resumed the process, and still names it *)
+  let e = Sim.Engine.create () in
+  Sim.Engine.spawn e ~name:"late" (fun () ->
+      Sim.Engine.sleep e 1.0;
+      failwith "expected");
+  match Sim.Engine.run e with
+  | () -> Alcotest.fail "exception should propagate"
+  | exception ex ->
+      Alcotest.(check string)
+        "named" {|process "late" failed with Failure("expected")|}
+        (Printexc.to_string ex)
+
+let test_park_unpark () =
+  run_sim (fun e ->
+      let s = Sim.Engine.slot () in
+      let log = ref [] in
+      Sim.Engine.spawn e (fun () ->
+          Sim.Engine.park e s;
+          log := "woken" :: !log);
+      Sim.Engine.sleep e 1.0;
+      Alcotest.(check bool) "parked" true (Sim.Engine.parked s);
+      Sim.Engine.unpark s;
+      log := "unpark returned" :: !log;
+      Alcotest.(check (list string))
+        "resumed synchronously" [ "woken"; "unpark returned" ] (List.rev !log);
+      Alcotest.(check bool) "empty again" false (Sim.Engine.parked s);
+      Alcotest.check_raises "unpark of an empty slot"
+        (Invalid_argument "Engine.unpark: no process parked") (fun () ->
+          Sim.Engine.unpark s))
+
 (* ---- ivar ---- *)
 
 let test_ivar_basic () =
@@ -427,6 +459,9 @@ let () =
           Alcotest.test_case "run_until" `Quick test_run_until;
           Alcotest.test_case "process exception" `Quick
             test_process_exception_propagates;
+          Alcotest.test_case "failure names the process" `Quick
+            test_process_failure_named;
+          Alcotest.test_case "park and unpark" `Quick test_park_unpark;
         ] );
       ( "ivar",
         [

@@ -1,15 +1,5 @@
 module St = Spritely.State_table
 
-type protocol = Nfs | Snfs | Rfs | Kent
-
-let protocol_to_string = function
-  | Nfs -> "nfs"
-  | Snfs -> "snfs"
-  | Rfs -> "rfs"
-  | Kent -> "kent"
-
-let strict = function Nfs -> false | Snfs | Rfs | Kent -> true
-
 type outcome = { reads : int; stale : int; server_divergence : int }
 
 let nclients = 3
@@ -27,57 +17,17 @@ let run_sim f =
 
 (* one mount per client plus a quiesce hook forcing its dirty blocks to
    the server (the oracle hook each protocol client exports) *)
-let make_clients protocol e net rpc server_host sfs =
-  ignore e;
-  match protocol with
-  | Nfs ->
-      let server = Nfs.Nfs_server.serve rpc server_host ~fsid:1 sfs in
-      List.init nclients (fun i ->
-          let host = Netsim.Net.Host.create net (Printf.sprintf "c%d" i) in
-          let c =
-            Nfs.Nfs_client.mount rpc ~client:host ~server:server_host
-              ~root:(Nfs.Nfs_server.root_fh server)
-              ~name:(Printf.sprintf "nfs%d" i) ()
-          in
-          let m = Vfs.Mount.create () in
-          Vfs.Mount.mount m ~at:"/" (Nfs.Nfs_client.fs c);
-          (m, fun () -> Nfs.Nfs_client.quiesce c))
-  | Snfs ->
-      let server = Snfs.Snfs_server.serve rpc server_host ~fsid:1 sfs in
-      List.init nclients (fun i ->
-          let host = Netsim.Net.Host.create net (Printf.sprintf "c%d" i) in
-          let c =
-            Snfs.Snfs_client.mount rpc ~client:host ~server:server_host
-              ~root:(Snfs.Snfs_server.root_fh server)
-              ~name:(Printf.sprintf "snfs%d" i) ()
-          in
-          let m = Vfs.Mount.create () in
-          Vfs.Mount.mount m ~at:"/" (Snfs.Snfs_client.fs c);
-          (m, fun () -> Snfs.Snfs_client.quiesce c))
-  | Rfs ->
-      let server = Rfs.Rfs_server.serve rpc server_host ~fsid:1 sfs in
-      List.init nclients (fun i ->
-          let host = Netsim.Net.Host.create net (Printf.sprintf "c%d" i) in
-          let c =
-            Rfs.Rfs_client.mount rpc ~client:host ~server:server_host
-              ~root:(Rfs.Rfs_server.root_fh server)
-              ~name:(Printf.sprintf "rfs%d" i) ()
-          in
-          let m = Vfs.Mount.create () in
-          Vfs.Mount.mount m ~at:"/" (Rfs.Rfs_client.fs c);
-          (m, fun () -> Rfs.Rfs_client.quiesce c))
-  | Kent ->
-      let server = Kentfs.Kent_server.serve rpc server_host ~fsid:1 sfs in
-      List.init nclients (fun i ->
-          let host = Netsim.Net.Host.create net (Printf.sprintf "c%d" i) in
-          let c =
-            Kentfs.Kent_client.mount rpc ~client:host ~server:server_host
-              ~root:(Kentfs.Kent_server.root_fh server)
-              ~name:(Printf.sprintf "kent%d" i) ()
-          in
-          let m = Vfs.Mount.create () in
-          Vfs.Mount.mount m ~at:"/" (Kentfs.Kent_client.fs c);
-          (m, fun () -> Kentfs.Kent_client.quiesce c))
+let make_clients protocol net rpc server_host sfs =
+  let server = Stacks.serve rpc server_host ~fsid:1 sfs protocol in
+  let prefix = String.lowercase_ascii (Stacks.name protocol) in
+  List.init nclients (fun i ->
+      let host = Netsim.Net.Host.create net (Printf.sprintf "c%d" i) in
+      let c =
+        Stacks.mount server host ~name:(Printf.sprintf "%s%d" prefix i) ()
+      in
+      let m = Vfs.Mount.create () in
+      Vfs.Mount.mount m ~at:"/" c.fs;
+      (m, c.quiesce))
 
 let path_of f = Printf.sprintf "/f%d" f
 
@@ -91,7 +41,7 @@ let replay protocol ops =
         Localfs.create e ~name:"sfs" ~disk ~cache_blocks:896 ~meta_policy:`Sync
           ()
       in
-      let mounts = make_clients protocol e net rpc server_host sfs in
+      let mounts = make_clients protocol net rpc server_host sfs in
       let mount c = fst (List.nth mounts c) in
       (* serial reference model: Some stamp = last write, None = never
          created / removed *)

@@ -18,15 +18,8 @@
    client0), while the merely-partitioned client3 is demoted and then
    revived with its state intact. *)
 
-type protocol = Nfs | Snfs | Rfs | Kent
-
-let protocol_name = function
-  | Nfs -> "nfs"
-  | Snfs -> "snfs"
-  | Rfs -> "rfs"
-  | Kent -> "kent"
-
-let all_protocols = [ Nfs; Snfs; Rfs; Kent ]
+let protocol_name p = String.lowercase_ascii (Stacks.name p)
+let all_protocols = Stacks.remote
 
 type verdict = {
   protocol : string;
@@ -43,7 +36,7 @@ type verdict = {
 
 (* retry budget: long enough to ride out the server reboot plus its
    grace period, short enough that a dead server still fails the run *)
-let retry_budget = Some 120.0
+let retry_budget = 120.0
 let courtesy_lifetime = 120.0
 
 (* fixed stamps so the oracle can attribute every block to its writer *)
@@ -84,70 +77,23 @@ let run ?trace ?metrics ~protocol ~seed () =
         Localfs.create engine ~name:"serverfs" ~disk:server_disk
           ~cache_blocks:896 ~meta_policy:`Sync ()
       in
-      (* Per-protocol server plus a mount closure; clients get a retry
-         budget and (for SNFS) a keepalive, but no cache syncer: dirty
-         delayed writes must still be sitting in the crashed clients'
-         caches when the schedule kills them. *)
-      let snfs_server = ref None in
-      let mount_client =
-        match protocol with
-        | Nfs ->
-            let server =
-              Nfs.Nfs_server.serve rpc server_host ~fsid:1 server_fs
-            in
-            fun host name ->
-              let config =
-                { Nfs.Nfs_client.default_config with retry_budget }
-              in
-              let c =
-                Nfs.Nfs_client.mount rpc ~client:host ~server:server_host
-                  ~root:(Nfs.Nfs_server.root_fh server) ~config ~name ()
-              in
-              Nfs.Nfs_client.fs c
-        | Snfs ->
-            let server =
-              Snfs.Snfs_server.serve rpc server_host ~recovery_grace:10.0
-                ~fsid:1 server_fs
-            in
-            Snfs.Snfs_server.start_laundromat ~lease:10.0 ~courtesy_lifetime
-              server ~interval:5.0;
-            snfs_server := Some server;
-            fun host name ->
-              let config =
-                { Snfs.Snfs_client.default_config with retry_budget }
-              in
-              let c =
-                Snfs.Snfs_client.mount rpc ~client:host ~server:server_host
-                  ~root:(Snfs.Snfs_server.root_fh server) ~config ~name ()
-              in
-              Snfs.Snfs_client.start_keepalive c ~interval:5.0;
-              Snfs.Snfs_client.fs c
-        | Rfs ->
-            let server =
-              Rfs.Rfs_server.serve rpc server_host ~fsid:1 server_fs
-            in
-            fun host name ->
-              let config =
-                { Rfs.Rfs_client.default_config with retry_budget }
-              in
-              let c =
-                Rfs.Rfs_client.mount rpc ~client:host ~server:server_host
-                  ~root:(Rfs.Rfs_server.root_fh server) ~config ~name ()
-              in
-              Rfs.Rfs_client.fs c
-        | Kent ->
-            let server =
-              Kentfs.Kent_server.serve rpc server_host ~fsid:1 server_fs
-            in
-            fun host name ->
-              let config =
-                { Kentfs.Kent_client.default_config with retry_budget }
-              in
-              let c =
-                Kentfs.Kent_client.mount rpc ~client:host ~server:server_host
-                  ~root:(Kentfs.Kent_server.root_fh server) ~config ~name ()
-              in
-              Kentfs.Kent_client.fs c
+      (* Clients get a retry budget and (for SNFS) a keepalive, but no
+         cache syncer: dirty delayed writes must still be sitting in the
+         crashed clients' caches when the schedule kills them. *)
+      let server =
+        Stacks.serve rpc server_host ~recovery_grace:10.0 ~fsid:1 server_fs
+          protocol
+      in
+      let snfs_server = Stacks.snfs_server server in
+      Option.iter
+        (fun srv ->
+          Snfs.Snfs_server.start_laundromat ~lease:10.0 ~courtesy_lifetime srv
+            ~interval:5.0)
+        snfs_server;
+      let mount_client host name =
+        let c = Stacks.mount server host ~name ~retry_budget () in
+        Option.iter (Snfs.Snfs_client.start_keepalive ~interval:5.0) c.snfs;
+        c.fs
       in
       let hosts =
         Array.init 4 (fun i ->
@@ -229,7 +175,7 @@ let run ?trace ?metrics ~protocol ~seed () =
           let times = Workload.Andrew.run ctx cfg tree in
           andrew_total := Workload.Andrew.total times;
           sleep_until 120.0;
-          (match !snfs_server with
+          (match snfs_server with
           | None -> ()
           | Some srv ->
               (* let the laundromat demote the dead client2 first, so
@@ -253,7 +199,7 @@ let run ?trace ?metrics ~protocol ~seed () =
       (* under SNFS, wait for the lifecycle story to complete: one
          courtesy reap (client1), one conflict reap (client2), one
          revival (client3) *)
-      (match !snfs_server with
+      (match snfs_server with
       | None -> ()
       | Some srv ->
           let deadline =
@@ -294,10 +240,10 @@ let run ?trace ?metrics ~protocol ~seed () =
              crashed_writes)
       in
       let lifecycle =
-        Option.map Snfs.Snfs_server.lifecycle_stats !snfs_server
+        Option.map Snfs.Snfs_server.lifecycle_stats snfs_server
       in
       let courtesy_resumed =
-        match !snfs_server with
+        match snfs_server with
         | None -> false
         | Some srv ->
             let st = Snfs.Snfs_server.lifecycle_stats srv in
@@ -337,9 +283,6 @@ let run ?trace ?metrics ~protocol ~seed () =
         courtesy_resumed;
         ok;
       })
-
-let campaign ?(seed = 42L) () =
-  List.map (fun protocol -> run ~protocol ~seed ()) all_protocols
 
 let table verdicts =
   let b = Buffer.create 512 in

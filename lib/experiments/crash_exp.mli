@@ -18,11 +18,12 @@
     client is demoted and then revived with its state intact, resuming
     without a reopen. *)
 
-type protocol = Nfs | Snfs | Rfs | Kent
+(** Lowercase protocol name, as in the verdict: ["nfs"], ["snfs"], ... *)
+(* snfs-lint: allow interface-drift — the benchmark under perfbench/ labels its crash units with it *)
+val protocol_name : Stacks.protocol -> string
 
-(* snfs-lint: allow interface-drift — naming accessor, symmetric with Testbed.protocol_name *)
-val protocol_name : protocol -> string
-val all_protocols : protocol list
+(** The stacks the campaign covers: {!Stacks.remote}. *)
+val all_protocols : Stacks.protocol list
 
 type verdict = {
   protocol : string;
@@ -42,13 +43,9 @@ type verdict = {
 val run :
   ?trace:Obs.Trace.t ->
   ?metrics:Obs.Metrics.t ->
-  protocol:protocol ->
+  protocol:Stacks.protocol ->
   seed:int64 ->
   unit ->
   verdict
-
-(** The campaign across all four protocols (default seed 42). *)
-(* snfs-lint: allow interface-drift — one-call campaign surface for scripted runs *)
-val campaign : ?seed:int64 -> unit -> verdict list
 
 val table : verdict list -> string

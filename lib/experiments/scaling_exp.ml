@@ -43,61 +43,18 @@ let run ~protocol ~clients ?(iterations = 8) () =
         Localfs.create engine ~name:"serverfs" ~disk:server_disk
           ~cache_blocks:896 ~meta_policy:`Sync ()
       in
-      let make_client =
-        match protocol with
-        | Testbed.Local -> invalid_arg "Scaling_exp.run: needs a remote protocol"
-        | Testbed.Nfs_proto config ->
-            let server = Nfs.Nfs_server.serve rpc server_host ~fsid:1 server_fs in
-            fun host name ->
-              let c =
-                Nfs.Nfs_client.mount rpc ~client:host ~server:server_host
-                  ~root:(Nfs.Nfs_server.root_fh server) ~config ~name ()
-              in
-              (Nfs.Nfs_client.fs c, Nfs.Nfs_client.cache c,
-               Netsim.Rpc.counters (Nfs.Nfs_server.service server))
-        | Testbed.Snfs_proto config ->
-            let server =
-              Snfs.Snfs_server.serve rpc server_host ~fsid:1 server_fs
-            in
-            fun host name ->
-              let c =
-                Snfs.Snfs_client.mount rpc ~client:host ~server:server_host
-                  ~root:(Snfs.Snfs_server.root_fh server) ~config ~name ()
-              in
-              Snfs.Snfs_client.start_syncer c ~interval:30.0;
-              (Snfs.Snfs_client.fs c, Snfs.Snfs_client.cache c,
-               Netsim.Rpc.counters (Snfs.Snfs_server.service server))
-        | Testbed.Rfs_proto config ->
-            let server = Rfs.Rfs_server.serve rpc server_host ~fsid:1 server_fs in
-            fun host name ->
-              let c =
-                Rfs.Rfs_client.mount rpc ~client:host ~server:server_host
-                  ~root:(Rfs.Rfs_server.root_fh server) ~config ~name ()
-              in
-              (Rfs.Rfs_client.fs c, Rfs.Rfs_client.cache c,
-               Netsim.Rpc.counters (Rfs.Rfs_server.service server))
-        | Testbed.Kent_proto config ->
-            let server =
-              Kentfs.Kent_server.serve rpc server_host ~fsid:1 server_fs
-            in
-            fun host name ->
-              let c =
-                Kentfs.Kent_client.mount rpc ~client:host ~server:server_host
-                  ~root:(Kentfs.Kent_server.root_fh server) ~config ~name ()
-              in
-              Kentfs.Kent_client.start_syncer c ~interval:30.0;
-              (Kentfs.Kent_client.fs c, Kentfs.Kent_client.cache c,
-               Netsim.Rpc.counters (Kentfs.Kent_server.service server))
-      in
-      let counters = ref None in
+      let server = Stacks.serve rpc server_host ~fsid:1 server_fs protocol in
       let contexts =
         List.init clients (fun i ->
             let name = Printf.sprintf "client%d" i in
             let host = Netsim.Net.Host.create net name in
-            let fs, _cache, counts = make_client host name in
-            counters := Some counts;
+            let c = Stacks.mount server host ~name () in
+            (match protocol with
+            | Snfs_proto _ | Kent_proto _ ->
+                Blockcache.Cache.start_syncer c.cache ~interval:30.0 ()
+            | Local | Nfs_proto _ | Rfs_proto _ -> ());
             let mounts = Vfs.Mount.create () in
-            Vfs.Mount.mount mounts ~at:"/" fs;
+            Vfs.Mount.mount mounts ~at:"/" c.fs;
             Workload.App.make ~mounts ~host)
       in
       let t0 = Sim.Engine.now engine in
@@ -122,9 +79,7 @@ let run ~protocol ~clients ?(iterations = 8) () =
           Sim.Resource.busy_time (Netsim.Net.Host.cpu server_host) /. wall;
         server_disk_util = Diskm.Disk.busy_time server_disk /. wall;
         total_rpcs =
-          (match !counters with
-          | Some c -> Stats.Counter.total c
-          | None -> 0);
+          Stats.Counter.total (Netsim.Rpc.counters (Stacks.service server));
       })
 
 let table () =
@@ -142,9 +97,9 @@ let table () =
     ]
   in
   let rows =
-    List.map (row (Testbed.Nfs_proto Nfs.Nfs_client.default_config) "NFS") counts
+    List.map (row (Stacks.Nfs_proto Nfs.Nfs_client.default_config) "NFS") counts
     @ List.map
-        (row (Testbed.Snfs_proto Snfs.Snfs_client.default_config) "SNFS")
+        (row (Stacks.Snfs_proto Snfs.Snfs_client.default_config) "SNFS")
         counts
   in
   Report.banner

@@ -18,9 +18,10 @@ type point = {
 }
 
 (** One measurement: [clients] hosts each run [iterations] of the loop
-    under the protocol (which must not be [Local]). *)
+    under the protocol (which must not be [Local]). SNFS and Kent
+    clients run the 30 s cache syncer; NFS and RFS write through. *)
 val run :
-  protocol:Testbed.protocol -> clients:int -> ?iterations:int -> unit -> point
+  protocol:Stacks.protocol -> clients:int -> ?iterations:int -> unit -> point
 
 (** The scaling table: NFS vs SNFS for 1, 2, 4, 8, 16 clients. *)
 val table : unit -> string

@@ -17,25 +17,4 @@
     that had *completed* before the read began (concurrent updates may
     legitimately return either version). *)
 
-type row = {
-  label : string;
-  elapsed : float;
-  stale_reads : int;
-  total_reads : int;
-  server_rpcs : int;
-}
-
-(* snfs-lint: allow interface-drift — single-protocol entry point for interactive runs *)
-val run_protocol :
-  label:string ->
-  make_clients:
-    (Sim.Engine.t ->
-    Netsim.Net.t ->
-    Netsim.Rpc.t ->
-    Netsim.Net.Host.t ->
-    Localfs.t ->
-    (Vfs.Mount.t * Netsim.Net.Host.t) list * (unit -> int)) ->
-  unit ->
-  row
-
 val table : unit -> string

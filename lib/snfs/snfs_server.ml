@@ -584,7 +584,6 @@ let clients_reaped t = t.clients_reaped
 
 let core t = t.core
 
-let host t = t.host
 let root_fh t = Nfs.Wire.root_fh t.core
 let service t = t.service
 let counters t = Netsim.Rpc.counters t.service

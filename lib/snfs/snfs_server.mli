@@ -46,8 +46,6 @@ val in_grace : t -> bool
     implicit opens must join the same discipline). *)
 val with_file_lock : t -> int -> (unit -> 'a) -> 'a
 
-(* snfs-lint: allow interface-drift — server identity accessor, symmetric across the four stacks *)
-val host : t -> Netsim.Net.Host.t
 val root_fh : t -> Nfs.Wire.fh
 val service : t -> Netsim.Rpc.service
 val counters : t -> Stats.Counter.t

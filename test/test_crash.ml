@@ -21,8 +21,8 @@ let check_verdict (v : CE.verdict) =
 
 let test_protocol protocol () = check_verdict (CE.run ~protocol ~seed ())
 
-let test_snfs_lifecycle () =
-  let v = CE.run ~protocol:CE.Snfs ~seed () in
+let test_snfs_lifecycle protocol () =
+  let v = CE.run ~protocol ~seed () in
   check_verdict v;
   match v.CE.lifecycle with
   | None -> Alcotest.fail "SNFS verdict carries no lifecycle stats"
@@ -47,7 +47,11 @@ let test_determinism () =
   let observe () =
     let trace = Obs.Trace.create () in
     let metrics = Obs.Metrics.create () in
-    let v = CE.run ~trace ~metrics ~protocol:CE.Snfs ~seed () in
+    let v =
+      CE.run ~trace ~metrics
+        ~protocol:(Stacks.Snfs_proto Snfs.Snfs_client.default_config)
+        ~seed ()
+    in
     (v, Obs.Chrome.to_string trace, Obs.Metrics.to_csv metrics)
   in
   let v1, trace1, csv1 = observe () in
@@ -58,16 +62,20 @@ let test_determinism () =
   Alcotest.(check bool) "trace JSON byte-identical" true (trace1 = trace2);
   Alcotest.(check bool) "metrics CSV byte-identical" true (csv1 = csv2)
 
+(* every stack the campaign covers; SNFS additionally runs the whole
+   client-lifecycle story *)
+let campaign_case protocol =
+  let name = CE.protocol_name protocol in
+  match protocol with
+  | Stacks.Snfs_proto _ ->
+      Alcotest.test_case (name ^ " lifecycle") `Slow
+        (test_snfs_lifecycle protocol)
+  | _ -> Alcotest.test_case name `Slow (test_protocol protocol)
+
 let () =
   Alcotest.run "crash"
     [
-      ( "campaign",
-        [
-          Alcotest.test_case "nfs" `Slow (test_protocol CE.Nfs);
-          Alcotest.test_case "snfs lifecycle" `Slow test_snfs_lifecycle;
-          Alcotest.test_case "rfs" `Slow (test_protocol CE.Rfs);
-          Alcotest.test_case "kent" `Slow (test_protocol CE.Kent);
-        ] );
+      ("campaign", List.map campaign_case CE.all_protocols);
       ( "determinism",
         [
           Alcotest.test_case "same seed, same bytes" `Slow test_determinism;

@@ -17,9 +17,14 @@ let name = "hot-alloc"
    - local [ref] cells are not flagged: ocamlopt unboxes refs that do
      not escape ([test_alloc] proves [Eventq.push] is zero-allocation
      despite its sift-hole refs);
-   - named local functions ([let rec probe i = ...]) are not flagged:
-     their full direct applications compile to jumps, unlike anonymous
-     closures in argument position;
+   - named local functions that capture nothing are not flagged:
+     ocamlopt lifts a closed function to a static closure, so defining
+     it costs nothing. One whose body refers to a variable bound by
+     the enclosing function (a parameter, a local [let] or a pattern
+     variable) is a closure built at every evaluation of its
+     definition, even when every call is a full direct application —
+     a [let rec probe] over the caller's arrays allocates once per
+     lookup (rule 9). Those are flagged;
    - the argument of a raising head ([raise]/[failwith]/[invalid_arg]/
      a module-local [error]) is exempt — raise paths are cold by
      definition;
@@ -32,10 +37,12 @@ let marker = "snfs-" ^ "hot"
 
 let in_scope path = Source.under "lib" path || Source.under "bench" path
 
-(* The hot set PR 6 hand-tuned and test_alloc measures: event-queue
-   cycle, blockcache table/LRU primitives, the DRC request path and the
-   per-call RPC functions that run on every round trip, the
-   pooled XDR encoder operations, and the observability fast paths.
+(* The hot set test_alloc measures: event-queue cycle, the block
+   cache's table/LRU primitives and its steady-state read, write,
+   write-back and per-file flush walks, the DRC request path and the
+   per-call RPC functions that run on every round trip, the basic NFS
+   request dispatch every server runs, the pooled XDR encoder
+   operations, and the observability fast paths.
    Entries are bare names for file-toplevel bindings, [Sub.name] for
    bindings inside a nested module. *)
 let builtin_allowlist =
@@ -47,9 +54,13 @@ let builtin_allowlist =
       ] );
     ( "lib/blockcache/cache.ml",
       [
-        "tab_index"; "tab_find"; "tab_add"; "tab_remove"; "lru_unlink";
-        "lru_append"; "touch"; "key"; "find";
+        "tab_index"; "tab_find_at"; "tab_find"; "tab_add_at"; "tab_add";
+        "tab_remove_at"; "tab_remove"; "lru_unlink"; "lru_append"; "touch";
+        "key"; "find"; "read"; "write"; "mark_dirty"; "writeback";
+        "flush_chain"; "flush_file"; "chain_has_dirty"; "chain_dirty_count";
+        "dirty_count"; "block_dirty";
       ] );
+    ("lib/nfs/wire.ml", [ "handle_basic" ]);
     ( "lib/netsim/rpc.ml",
       [
         "note_duplicate"; "handle_request"; "deliver_request"; "execute";
@@ -163,12 +174,6 @@ let has_on_guard cond =
   it.expr it cond;
   !found
 
-let rec strip_params e =
-  match e.pexp_desc with
-  | Pexp_fun (_, _, _, body) -> strip_params body
-  | Pexp_newtype (_, body) -> strip_params body
-  | _ -> e
-
 (* arity of an all-positional function body; [None] when any parameter
    is labelled/optional (partial application is then idiomatic) *)
 let arity_of e =
@@ -182,13 +187,94 @@ let arity_of e =
   in
   go 0 e
 
+module Names = Set.Make (String)
+
+let add_pat names p =
+  List.fold_left (fun s x -> Names.add x s) names (Astutil.pat_names p)
+
+let add_vbs names vbs =
+  List.fold_left (fun s vb -> add_pat s vb.pvb_pat) names vbs
+
+(* Variables [e] refers to without binding them itself or finding
+   them in [bound]. *)
+let free_vars bound e =
+  let free = ref Names.empty in
+  let rec fv bound e =
+    match e.pexp_desc with
+    | Pexp_ident { txt = Longident.Lident x; _ } ->
+        if not (Names.mem x bound) then free := Names.add x !free
+    | Pexp_let (Asttypes.Nonrecursive, vbs, body) ->
+        List.iter (fun vb -> fv bound vb.pvb_expr) vbs;
+        fv (add_vbs bound vbs) body
+    | Pexp_let (Asttypes.Recursive, vbs, body) ->
+        let bound = add_vbs bound vbs in
+        List.iter (fun vb -> fv bound vb.pvb_expr) vbs;
+        fv bound body
+    | Pexp_fun (_, default, p, body) ->
+        Option.iter (fv bound) default;
+        fv (add_pat bound p) body
+    | Pexp_function cases -> fv_cases bound cases
+    | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->
+        fv bound scrut;
+        fv_cases bound cases
+    | Pexp_for (p, lo, hi, _, body) ->
+        fv bound lo;
+        fv bound hi;
+        fv (add_pat bound p) body
+    | _ ->
+        let it =
+          { Ast_iterator.default_iterator with expr = (fun _ e -> fv bound e) }
+        in
+        Ast_iterator.default_iterator.expr it e
+  and fv_cases bound cases =
+    List.iter
+      (fun c ->
+        let bound = add_pat bound c.pc_lhs in
+        Option.iter (fv bound) c.pc_guard;
+        fv bound c.pc_rhs)
+      cases
+  in
+  fv bound e;
+  !free
+
 let check_body (file : Source.t) ~arities ~modname findings body =
   let report loc msg =
     let line, col = Astutil.pos loc in
     findings :=
       Finding.v ~path:file.Source.path ~line ~col ~rule:name msg :: !findings
   in
-  let rec walk e =
+  (* [env]: the variables the enclosing hot function has bound at this
+     point — a named local function that refers to one of them is a
+     closure allocated at every evaluation of its definition *)
+  let check_capture env rec_flag vbs =
+    let own =
+      match rec_flag with
+      | Asttypes.Recursive -> add_vbs Names.empty vbs
+      | Asttypes.Nonrecursive -> Names.empty
+    in
+    List.iter
+      (fun vb ->
+        match vb.pvb_expr.pexp_desc with
+        | Pexp_fun _ | Pexp_function _ -> (
+            let captured = Names.inter (free_vars own vb.pvb_expr) env in
+            match Names.elements captured with
+            | [] -> ()
+            | vars ->
+                report vb.pvb_loc
+                  (Printf.sprintf
+                     "local function '%s' captures %s of the enclosing \
+                      function, so it is a closure allocated at every \
+                      evaluation — pass %s or lift it to the top level \
+                      (DESIGN §11.1 rule 9)"
+                     (String.concat ", " (Astutil.pat_names vb.pvb_pat))
+                     (String.concat ", "
+                        (List.map (fun v -> "'" ^ v ^ "'") vars))
+                     (if List.length vars = 1 then "it as an argument"
+                      else "them as arguments")))
+        | _ -> ())
+      vbs
+  in
+  let rec walk env e =
     let e = Astutil.uncurry_pipes e in
     match e.pexp_desc with
     | Pexp_apply (head, args) -> (
@@ -222,10 +308,10 @@ let check_body (file : Source.t) ~arities ~modname findings body =
                          f (List.length args) ar)
                 | _ -> ())
             | _ -> ());
-            List.iter (fun (_, a) -> walk a) args
+            List.iter (fun (_, a) -> walk env a) args
         | None ->
-            walk head;
-            List.iter (fun (_, a) -> walk a) args)
+            walk env head;
+            List.iter (fun (_, a) -> walk env a) args)
     | Pexp_ident { txt; _ } -> (
         match Option.map strip_stdlib (Astutil.flatten txt) with
         | Some p -> (
@@ -241,67 +327,85 @@ let check_body (file : Source.t) ~arities ~modname findings body =
                          f)
                 | _ -> ()))
         | None -> ())
-    | Pexp_let (_, vbs, body) ->
+    | Pexp_let (rec_flag, vbs, body) ->
+        check_capture env rec_flag vbs;
+        let inner = add_vbs env vbs in
+        let defs_env =
+          match rec_flag with
+          | Asttypes.Recursive -> inner
+          | Asttypes.Nonrecursive -> env
+        in
         List.iter
           (fun vb ->
             match vb.pvb_expr.pexp_desc with
             | Pexp_fun _ | Pexp_function _ ->
-                (* named local function: full direct applications
-                   compile to jumps, no closure *)
-                walk_fn_body vb.pvb_expr
-            | _ -> walk vb.pvb_expr)
+                (* named local function: judged by its captures above,
+                   not as an anonymous closure *)
+                walk_fn_body defs_env vb.pvb_expr
+            | _ -> walk defs_env vb.pvb_expr)
           vbs;
-        walk body
+        walk inner body
     | Pexp_fun _ ->
         report e.pexp_loc "anonymous closure allocates at every evaluation";
-        walk_fn_body e
+        walk_fn_body env e
     | Pexp_function cases ->
         report e.pexp_loc "anonymous closure allocates at every evaluation";
-        walk_cases cases
+        walk_cases env cases
+    | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->
+        walk env scrut;
+        walk_cases env cases
+    | Pexp_for (p, lo, hi, _, body) ->
+        walk env lo;
+        walk env hi;
+        walk (add_pat env p) body
     | Pexp_lazy inner ->
         report e.pexp_loc "lazy thunk allocates at every evaluation";
-        walk inner
+        walk env inner
     | Pexp_construct (_, Some arg) ->
         report e.pexp_loc
           "constructor application (Some/::/variant payload) allocates a \
            block per call";
-        walk arg
+        walk env arg
     | Pexp_variant (_, Some arg) ->
         report e.pexp_loc "polymorphic variant payload allocates per call";
-        walk arg
+        walk env arg
     | Pexp_tuple es ->
         report e.pexp_loc "tuple construction allocates per call";
-        List.iter walk es
+        List.iter (walk env) es
     | Pexp_record (fields, base) ->
         report e.pexp_loc "record construction allocates per call";
-        List.iter (fun (_, v) -> walk v) fields;
-        Option.iter walk base
+        List.iter (fun (_, v) -> walk env v) fields;
+        Option.iter (walk env) base
     | Pexp_array es ->
         report e.pexp_loc "array literal allocates per call";
-        List.iter walk es
+        List.iter (walk env) es
     | Pexp_ifthenelse (cond, _then, else_) when has_on_guard cond ->
         (* observability-on branch may allocate (DESIGN §11 rule 7:
            only the off path must be free) *)
-        walk cond;
-        Option.iter walk else_
-    | _ -> descend e
-  and walk_fn_body e =
-    match strip_params e with
-    | { pexp_desc = Pexp_function cases; _ } -> walk_cases cases
-    | body -> walk body
-  and walk_cases cases =
+        walk env cond;
+        Option.iter (walk env) else_
+    | _ -> descend env e
+  (* a function's parameters join the scope of its body *)
+  and walk_fn_body env e =
+    match e.pexp_desc with
+    | Pexp_fun (_, _, p, body) -> walk_fn_body (add_pat env p) body
+    | Pexp_newtype (_, body) -> walk_fn_body env body
+    | Pexp_function cases -> walk_cases env cases
+    | _ -> walk env e
+  and walk_cases env cases =
     List.iter
       (fun c ->
-        Option.iter walk c.pc_guard;
-        walk c.pc_rhs)
+        let env = add_pat env c.pc_lhs in
+        Option.iter (walk env) c.pc_guard;
+        walk env c.pc_rhs)
       cases
-  and descend e =
+  and descend env e =
     let it =
-      { Ast_iterator.default_iterator with expr = (fun _ e -> walk e) }
+      { Ast_iterator.default_iterator with expr = (fun _ e -> walk env e) }
     in
     Ast_iterator.default_iterator.expr it e
   in
-  walk_fn_body body
+  walk_fn_body Names.empty body
 
 (* mutable float field in a mixed record: every store boxes
    (DESIGN §11 rule 2 — use a one-cell float array instead) *)

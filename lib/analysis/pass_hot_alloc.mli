@@ -5,8 +5,9 @@
     trajectory); this pass enforces them structurally so the next PR
     cannot quietly re-introduce per-event allocation. A function is
     {e hot} when it appears on the built-in allowlist (the
-    [Sim.Eventq] cycle, the blockcache open-addressing table and
-    intrusive LRU, the rpc DRC request path, the pooled [Xdr.Enc]
+    [Sim.Eventq] cycle, the blockcache open-addressing table, intrusive
+    LRU and steady-state read/write/write-back/flush walks, the rpc DRC
+    request path, [Nfs.Wire.handle_basic], the pooled [Xdr.Enc]
     operations, the [Obs.Trace]/[Obs.Metrics] [on] fast paths) or when
     its definition — or the file header, for whole-file coverage — is
     marked with an [(* snfs-hot *)] comment.
@@ -19,11 +20,14 @@
     operators passed as values; [@]/[^] and the allocating
     [List]/[Array]/[Bytes]/[String] operations; any [Hashtbl] or
     [Buffer] use; and [mutable] [float] fields in mixed records (which
-    box on every store — rule 2).
+    box on every store — rule 2); and named local functions that
+    capture a parameter, local [let] or pattern variable of the
+    enclosing function, which are closures built at every evaluation
+    of their definition (rule 9).
 
     Exemptions, matching what ocamlopt actually compiles: local [ref]s
-    (unboxed when they do not escape), named local functions (direct
-    full applications are jumps), argument subtrees of raising heads
+    (unboxed when they do not escape), named local functions that
+    capture nothing (static closures), argument subtrees of raising heads
     ([raise]/[failwith]/[invalid_arg]/module-local [error]) since
     raise paths are cold, and the then-branch of
     [if Obs.Trace.on () / Obs.Metrics.on ()] guards — rule 7 only

@@ -180,7 +180,7 @@ let check_file ~blocking (file : Source.t) mutable_fields =
               (* bump-cell exemption: a binding used as a *store* target
                  after a yield is not a stale read — the cell is a
                  persistent identity object being updated in place (the
-                 last_heard float-ref / per-caller cell idiom). Only
+                 last_heard float cell / per-caller cell idiom). Only
                  non-trivial receiver expressions are walked. *)
               (match obj.pexp_desc with
               | Pexp_ident { txt = Lident _; _ } -> ()

@@ -16,7 +16,9 @@ type t = {
   mutable writes : int;
   mutable bytes_read : int;
   mutable bytes_written : int;
-  mutable next_at : int option; (* address following the last request *)
+  (* address following the last request; -1 when the last request
+     gave none (addresses are non-negative), so no [Some] per request *)
+  mutable next_at : int;
 }
 
 let create engine ?(params = ra81) name =
@@ -29,18 +31,19 @@ let create engine ?(params = ra81) name =
     writes = 0;
     bytes_read = 0;
     bytes_written = 0;
-    next_at = None;
+    next_at = -1;
   }
 
 let name t = t.name
 
 let service_time t ~at bytes =
   let sequential =
-    match (at, t.next_at) with
-    | Some a, Some expected -> a = expected
-    | _, _ -> false
+    match at with
+    | Some a when a < 0 -> invalid_arg "Disk: negative block address"
+    | Some a -> a = t.next_at
+    | None -> false
   in
-  (t.next_at <- match at with Some a -> Some (a + 1) | None -> None);
+  (t.next_at <- match at with Some a -> a + 1 | None -> -1);
   t.params.per_request_overhead
   +. (if sequential then 0.0 else t.params.positioning)
   +. (float_of_int bytes /. t.params.transfer_rate)

@@ -28,7 +28,8 @@ val create : Sim.Engine.t -> ?params:params -> string -> t
 val name : t -> string
 
 (** [read t ?at ~bytes] blocks for one read request of [bytes] bytes.
-    [at] is an abstract block address: a request whose address follows
+    [at] is an abstract, non-negative block address (a negative one
+    raises [Invalid_argument]): a request whose address follows
     directly on the previous request's pays no positioning cost (the
     head is already there), which is what makes sequential file I/O
     several times cheaper than scattered I/O. Omitting [at] always

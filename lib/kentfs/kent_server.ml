@@ -257,14 +257,7 @@ let serve rpc host ?(threads = 8) ~fsid fs =
          else if proc = Nfs.Wire.p_setattr then
            handle_setattr tt ~caller:caller_addr ~ctx dec
          else
-           match
-             Nfs.Wire.handle_basic tt.core ~caller:caller_addr ~ctx ~proc dec
-           with
-           | Some reply -> reply
-           | None ->
-               let e = Xdr.Enc.create () in
-               Nfs.Wire.enc_status e (Error Localfs.Stale);
-               { Netsim.Rpc.data = Xdr.Enc.to_bytes e; bulk = 0 }
+           Nfs.Wire.handle_basic tt.core ~caller:caller_addr ~ctx ~proc dec
        in
        let service = Netsim.Rpc.serve rpc host ~prog ~threads handler in
        {

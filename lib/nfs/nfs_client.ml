@@ -61,12 +61,15 @@ let now t = Sim.Engine.now t.engine
 
 (* Run one GFS operation under a fresh causal root (see
    {!Obs.Causal.root}): [f] receives the minted context and threads it
-   through every RPC, cache and disk touch the operation makes. *)
+   through every RPC, cache and disk touch the operation makes. With
+   tracing off there is no root span, so no [~now] closure is built. *)
 let op t name f =
-  Obs.Causal.root
-    ~now:(fun () -> now t)
-    ~track:(Netsim.Net.Host.name t.client)
-    ~name f
+  if not (Obs.Trace.on ()) then f Obs.Causal.none
+  else
+    Obs.Causal.root
+      ~now:(fun () -> now t)
+      ~track:(Netsim.Net.Host.name t.client)
+      ~name f
 
 let proto_event t name args =
   if Obs.Trace.on () then

@@ -80,12 +80,6 @@ let p_reopen = "reopen"
 
 let data_procs = [ p_read; p_write ]
 
-let basic_procs =
-  [
-    p_lookup; p_getattr; p_setattr; p_read; p_write; p_create; p_remove;
-    p_mkdir; p_rmdir; p_rename; p_readdir;
-  ]
-
 (* ---- client stubs ---- *)
 
 type call = proc:string -> ?bulk:int -> bytes -> bytes
@@ -244,6 +238,9 @@ let root_fh c = { fsid = c.fsid; ino = Localfs.root c.fs; gen = 1 }
 
 let reply_of e = { Netsim.Rpc.data = Xdr.Enc.to_bytes e; bulk = 0 }
 
+(* a reply whose data block rides back as [bulk] payload bytes *)
+let bulk_reply e bulk = { Netsim.Rpc.data = Xdr.Enc.to_bytes e; bulk }
+
 let ok_enc () =
   let e = Xdr.Enc.create () in
   enc_status e (Ok ());
@@ -257,8 +254,6 @@ let error_reply err =
 let check_fh c (fh : fh) =
   if fh.fsid <> c.fsid then raise (Localfs.Error Localfs.Stale)
 
-let with_errors f = try f () with Localfs.Error err -> error_reply err
-
 let fh_attrs_reply ~ctx c ino =
   let attrs = Localfs.getattr ~ctx c.fs ino in
   let e = ok_enc () in
@@ -266,10 +261,12 @@ let fh_attrs_reply ~ctx c ino =
   enc_attrs e attrs;
   reply_of e
 
+(* One served request: no per-request handler or error-wrapper
+   closures. The procedure test is a chain of string compares that
+   ends in the non-basic case. *)
 let handle_basic c ~caller ~ctx ~proc d =
   let fs = c.fs in
-  let handler () =
-    with_errors @@ fun () ->
+  try
     if proc = p_lookup then begin
       let dir = dec_fh d in
       check_fh c dir;
@@ -306,8 +303,7 @@ let handle_basic c ~caller ~ctx ~proc d =
       let e = ok_enc () in
       Xdr.Enc.uint32 e stamp;
       Xdr.Enc.uint32 e len;
-      (* the data block rides back as bulk payload *)
-      { Netsim.Rpc.data = Xdr.Enc.to_bytes e; bulk = len }
+      bulk_reply e len
     end
     else if proc = p_write then begin
       let fh = dec_fh d in
@@ -371,13 +367,9 @@ let handle_basic c ~caller ~ctx ~proc d =
       Xdr.Enc.array e (Xdr.Enc.string e) names;
       reply_of e
     end
-    else assert false
-  in
-  (* membership test as a literal-string match (a comparison tree),
-     not a [List.mem] scan with polymorphic equality — this runs once
-     per served RPC. The literals mirror [basic_procs]. *)
-  match proc with
-  | "lookup" | "getattr" | "setattr" | "read" | "write" | "create" | "remove"
-  | "mkdir" | "rmdir" | "rename" | "readdir" ->
-      Some (handler ())
-  | _ -> None
+    else
+      (* not a basic procedure: a plain NFS server rejects open/close,
+         which is how a hybrid client discovers it is not talking to
+         SNFS (Section 6.1) *)
+      error_reply Localfs.Stale
+  with Localfs.Error err -> error_reply err

@@ -54,10 +54,6 @@ val p_reopen : string
     of Table 5-2). *)
 val data_procs : string list
 
-(** All basic (shared) procedures. *)
-(* snfs-lint: allow interface-drift — shared proc list for servers reusing the dispatcher *)
-val basic_procs : string list
-
 (** {2 Client-side stubs}
 
     [call] is a closure over the RPC transport, source and destination;
@@ -131,15 +127,18 @@ val core_fs : server_core -> Localfs.t
 val root_fh : server_core -> fh
 
 (** [handle_basic core ~caller ~ctx ~proc dec] executes a basic
-    procedure, or returns [None] if [proc] is not a basic one. Data
-    writes go to the disk synchronously (Section 2.3: "writes are
-    always synchronous with the disk at the server"). [ctx] — the
-    request's causal context, from the RPC header — flows down to the
-    file system, buffer cache and disk. *)
+    procedure and returns its reply; a file-system error becomes an
+    error reply. A [proc] that is not a basic one gets the [Stale]
+    error reply: a plain NFS server rejects open/close that way, and
+    the protocol servers route their own procedures before calling
+    this. Data writes go to the disk synchronously (Section 2.3:
+    "writes are always synchronous with the disk at the server").
+    [ctx] — the request's causal context, from the RPC header — flows
+    down to the file system, buffer cache and disk. *)
 val handle_basic :
   server_core ->
   caller:int ->
   ctx:Obs.Causal.t ->
   proc:string ->
   Xdr.Dec.t ->
-  Netsim.Rpc.reply option
+  Netsim.Rpc.reply

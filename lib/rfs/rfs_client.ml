@@ -37,12 +37,16 @@ let call t ctx ~proc ?bulk args =
   Netsim.Rpc.call t.rpc ~ctx ~src:t.client ~dst:t.server
     ~prog:Rfs_server.prog ~proc ?budget:t.budget ?bulk args
 
-(* Run one GFS operation under a fresh causal root ({!Obs.Causal.root}). *)
+(* Run one GFS operation under a fresh causal root ({!Obs.Causal.root}).
+   With tracing off there is no root span, so no [~now] closure is
+   built. *)
 let op t name f =
-  Obs.Causal.root
-    ~now:(fun () -> Sim.Engine.now t.engine)
-    ~track:(Netsim.Net.Host.name t.client)
-    ~name f
+  if not (Obs.Trace.on ()) then f Obs.Causal.none
+  else
+    Obs.Causal.root
+      ~now:(fun () -> Sim.Engine.now t.engine)
+      ~track:(Netsim.Net.Host.name t.client)
+      ~name f
 
 let gnode t ino =
   match Hashtbl.find_opt t.gnodes ino with

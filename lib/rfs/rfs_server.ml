@@ -142,14 +142,7 @@ let serve rpc host ?(threads = 4) ~fsid fs =
            handle_open tt ~caller:caller_addr ~ctx dec
          else if proc = Nfs.Wire.p_close then handle_close tt dec
          else
-           match
-             Nfs.Wire.handle_basic tt.core ~caller:caller_addr ~ctx ~proc dec
-           with
-           | Some reply -> reply
-           | None ->
-               let e = Xdr.Enc.create () in
-               Nfs.Wire.enc_status e (Error Localfs.Stale);
-               { Netsim.Rpc.data = Xdr.Enc.to_bytes e; bulk = 0 }
+           Nfs.Wire.handle_basic tt.core ~caller:caller_addr ~ctx ~proc dec
        in
        let service = Netsim.Rpc.serve rpc host ~prog ~threads handler in
        {

@@ -94,17 +94,10 @@ let serve rpc host ?(threads = 4) ?(nfs_probe_interval = 150.0) ~fsid fs =
                     ~write:false
             | exception Localfs.Error _ -> ()
           end);
-         match
-           Nfs.Wire.handle_basic (Snfs_server.core snfs) ~caller:caller_addr
-             ~ctx ~proc dec
-         with
-         | Some reply -> reply
-         | None ->
-             (* open/close from an NFS client: reject, as a plain NFS
-                server would — this is how hybrid clients probe *)
-             let e = Xdr.Enc.create () in
-             Nfs.Wire.enc_status e (Error Localfs.Stale);
-             { Netsim.Rpc.data = Xdr.Enc.to_bytes e; bulk = 0 }
+         (* open/close from an NFS client get the Stale reply, as
+            from a plain NFS server — this is how hybrid clients probe *)
+         Nfs.Wire.handle_basic (Snfs_server.core snfs) ~caller:caller_addr
+           ~ctx ~proc dec
        in
        let nfs_service =
          Netsim.Rpc.serve rpc host ~prog:Nfs.Nfs_server.prog ~threads handler

@@ -2,6 +2,11 @@ let prog = "snfs"
 
 let client_prog_for fsid = "snfs_cb." ^ string_of_int fsid
 
+(* An all-float record is stored flat, so [cell.heard <- now] is an
+   unboxed store. A [float ref] is a polymorphic record: its float is
+   boxed, and each refresh would allocate. *)
+type heard = { mutable heard : float }
+
 type t = {
   rpc : Netsim.Rpc.t;
   host : Netsim.Net.Host.t;
@@ -12,11 +17,11 @@ type t = {
   callback_tokens : Sim.Semaphore.t; (* at most threads-1 concurrent *)
   mutable callbacks_sent : int;
   mutable callbacks_failed : int;
-  (* client addr -> last RPC time. The cell is a [float ref] rather
-     than a float value so the per-request refresh is a store into the
-     existing (flat, unboxed) cell instead of a boxed-float
+  (* client addr -> last RPC time. The cell is a mutable flat float
+     record rather than a float value so the per-request refresh is an
+     unboxed store into the existing cell instead of a boxed-float
      [Hashtbl.replace]. *)
-  last_heard : (int, float ref) Hashtbl.t;
+  last_heard : (int, heard) Hashtbl.t;
   (* per-file consistency critical section: the table must not be
      consulted by a second open while a first open's callbacks are
      still in flight, or the second open trusts a cachability the
@@ -358,10 +363,10 @@ let serve rpc host ?(threads = 8) ?(max_table_entries = 1000)
          let tt = Lazy.force t in
          let caller_addr = Netsim.Net.Host.addr caller in
          (match Hashtbl.find_opt tt.last_heard caller_addr with
-         | Some cell -> cell := Sim.Engine.now engine
+         | Some cell -> cell.heard <- Sim.Engine.now engine
          | None ->
              Hashtbl.replace tt.last_heard caller_addr
-               (ref (Sim.Engine.now engine)));
+               { heard = Sim.Engine.now engine });
          (* any RPC from a Courtesy client revives it: it resumes with
             its state intact, no reopen storm. The [nonactive] guard
             keeps this off the hot path while nobody is suspect. *)
@@ -386,14 +391,7 @@ let serve rpc host ?(threads = 8) ?(max_table_entries = 1000)
          else if proc = Nfs.Wire.p_reopen then
            handle_reopen tt ~caller:caller_addr dec
          else
-           match
-             Nfs.Wire.handle_basic tt.core ~caller:caller_addr ~ctx ~proc dec
-           with
-           | Some reply -> reply
-           | None ->
-               let e = Xdr.Enc.create () in
-               Nfs.Wire.enc_status e (Error Localfs.Stale);
-               { Netsim.Rpc.data = Xdr.Enc.to_bytes e; bulk = 0 }
+           Nfs.Wire.handle_basic tt.core ~caller:caller_addr ~ctx ~proc dec
        in
        let service = Netsim.Rpc.serve rpc host ~prog ~threads handler in
        {
@@ -497,10 +495,11 @@ let start_laundromat ?(lease = 120.0) ?(courtesy_lifetime = 300.0) t ~interval =
     | _reply -> (
         match Hashtbl.find_opt t.last_heard client with
         | Some cell ->
-            cell := Sim.Engine.now engine;
+            cell.heard <- Sim.Engine.now engine;
             true
         | None ->
-            Hashtbl.replace t.last_heard client (ref (Sim.Engine.now engine));
+            Hashtbl.replace t.last_heard client
+              { heard = Sim.Engine.now engine };
             true)
     | exception Netsim.Rpc.Timeout _ -> false
   in
@@ -511,7 +510,7 @@ let start_laundromat ?(lease = 120.0) ?(courtesy_lifetime = 300.0) t ~interval =
     let now = Sim.Engine.now engine in
     let silent_too_long client =
       match Hashtbl.find_opt t.last_heard client with
-      | Some heard -> now -. !heard >= lease
+      | Some cell -> now -. cell.heard >= lease
       | None -> true
     in
     (* 1: silent Active clients are probed; the unresponsive become

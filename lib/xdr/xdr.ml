@@ -222,7 +222,13 @@ module Dec = struct
     let n = uint32 t in
     opaque_fixed t n
 
-  let string t = Bytes.to_string (opaque t)
+  (* [opaque] then [Bytes.to_string] would copy the name twice *)
+  let string t =
+    let n = uint32 t in
+    need t (n + padding n);
+    let s = Bytes.sub_string t.buf t.pos n in
+    t.pos <- t.pos + n + padding n;
+    s
 
   let array t f =
     let n = uint32 t in

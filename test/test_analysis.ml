@@ -771,10 +771,17 @@ let test_hot_alloc_exemptions () =
   in
   quiet "local refs are unboxed by ocamlopt"
     "let sum2 a b =\n  let acc = ref a in\n  acc := !acc + b;\n  !acc\n";
-  quiet "named local functions compile to jumps"
+  quiet "closed named local functions are static closures"
     "let find t k =\n\
-    \  let rec probe i = if i = k then i else probe (i + 1) in\n\
-    \  probe t\n";
+    \  let rec probe k i = if i = k then i else probe k (i + 1) in\n\
+    \  probe k t\n";
+  quiet "toplevel names are not captures"
+    "let limit = 10\n\
+     let find t =\n\
+    \  let rec go i = if i >= limit then i else go (i + 1) in\n\
+    \  go t\n";
+  quiet "a parameter that shadows the caller's is not a capture"
+    "let f t k =\n  let g k = k + 1 in\n  g t + k\n";
   quiet "raise paths are cold"
     "let get t =\n\
     \  if t < 0 then invalid_arg (Printf.sprintf \"neg %d\" t);\n\
@@ -785,6 +792,45 @@ let test_hot_alloc_exemptions () =
     [ input "lib/z/m.ml" "let go xs = List.map succ xs\n" ];
   check_quiet "test/ sources are never hot" "hot-alloc"
     [ input "test/t.ml" (hot ^ "\nlet wrap x = Some x\n") ]
+
+let test_hot_alloc_captures () =
+  let fires what src =
+    check_fires what "hot-alloc" [ input "lib/z/m.ml" (hot ^ "\n" ^ src) ]
+  in
+  (* the shape the block cache's table probes had: every lookup built
+     a closure over the caller's arrays and key *)
+  fires "local probe capturing the caller's variables"
+    "let find t k =\n\
+    \  let keys = t.keys and mask = t.mask in\n\
+    \  let rec probe i =\n\
+    \    if keys.(i) = k then i else probe ((i + 1) land mask)\n\
+    \  in\n\
+    \  probe 0\n";
+  fires "local function capturing a parameter"
+    "let find t k =\n\
+    \  let rec probe i = if i = k then i else probe (i + 1) in\n\
+    \  probe t\n";
+  fires "local function capturing a pattern variable"
+    "let f t =\n\
+    \  match t with\n\
+    \  | (a, _) ->\n\
+    \      let g x = x + a in\n\
+    \      g 1\n";
+  fires "nested local function capturing its parent's parameter"
+    "let f t =\n\
+    \  let g x =\n\
+    \    let h y = x + y in\n\
+    \    h 1\n\
+    \  in\n\
+    \  g t\n";
+  (* the same shapes outside hot code stay quiet *)
+  check_quiet "capturing local function in cold code" "hot-alloc"
+    [
+      input "lib/z/m.ml"
+        "let find t k =\n\
+        \  let rec probe i = if i = k then i else probe (i + 1) in\n\
+        \  probe t\n";
+    ]
 
 let test_purity_seeded () =
   check_fires "printing from the core model" "purity"
@@ -1206,6 +1252,8 @@ let () =
             test_hot_alloc_partial_application;
           Alcotest.test_case "compiler-accurate exemptions" `Quick
             test_hot_alloc_exemptions;
+          Alcotest.test_case "capturing local functions" `Quick
+            test_hot_alloc_captures;
         ] );
       ( "purity",
         [

@@ -241,6 +241,34 @@ let test_dir_data_mismatch () =
       Alcotest.check_raises "lookup in file" (Localfs.Error Localfs.Notdir)
         (fun () -> ignore (Localfs.lookup fs ~dir:f "x")))
 
+(* A request that follows on the previous request's address skips
+   positioning; an unaddressed request breaks the run. *)
+let test_disk_sequential () =
+  run_sim (fun e ->
+      let disk = Diskm.Disk.create e "d" in
+      let cost ?at () =
+        let t0 = Sim.Engine.now e in
+        Diskm.Disk.read ?at disk ~bytes:0;
+        Sim.Engine.now e -. t0
+      in
+      let p = Diskm.Disk.ra81 in
+      let seek = p.per_request_overhead +. p.positioning
+      and next = p.per_request_overhead in
+      List.iter
+        (fun (what, at, expect) ->
+          Alcotest.(check (float 1e-12)) what expect (cost ?at ()))
+        [
+          ("first request seeks", Some 10, seek);
+          ("next address is sequential", Some 11, next);
+          ("unaddressed request seeks", None, seek);
+          ("after an unaddressed one, seeks", Some 12, seek);
+          ("then sequential again", Some 13, next);
+          ("address 0 after none seeks", Some 0, seek);
+        ];
+      Alcotest.check_raises "negative address"
+        (Invalid_argument "Disk: negative block address") (fun () ->
+          Diskm.Disk.write ~at:(-1) disk ~bytes:0))
+
 let () =
   Alcotest.run "localfs"
     [
@@ -274,5 +302,10 @@ let () =
             test_structural_writes_happen;
           Alcotest.test_case "sync meta policy" `Quick
             test_sync_meta_policy_writes_through;
+        ] );
+      ( "disk",
+        [
+          Alcotest.test_case "sequential detection" `Quick
+            test_disk_sequential;
         ] );
     ]

@@ -49,8 +49,8 @@ let builtin_allowlist =
   [
     ( "lib/sim/eventq.ml",
       [
-        "push"; "pop_fn"; "pop_until"; "precedes"; "min_time"; "min_seq";
-        "is_empty"; "length";
+        "insert"; "push"; "push_k"; "remove"; "pop_fn"; "due"; "fire";
+        "precedes"; "min_time"; "min_seq"; "is_empty"; "length";
       ] );
     ( "lib/blockcache/cache.ml",
       [

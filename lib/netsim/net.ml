@@ -109,7 +109,12 @@ end
 
 let pair a b = if a.haddr <= b.haddr then (a.haddr, b.haddr) else (b.haddr, a.haddr)
 
-let partitioned t a b = List.mem (pair a b) t.partitions
+(* Almost always nothing is cut: answer that without building the pair
+   or calling polymorphic [List.mem]. *)
+let partitioned t a b =
+  match t.partitions with
+  | [] -> false
+  | ps -> List.mem (pair a b) ps
 
 let partition_event t name a b =
   if Obs.Trace.on () then
@@ -131,20 +136,22 @@ let heal t a b =
     partition_event t "heal" a b
   end
 
-(* One message in flight. Its transmission-end and delivery events both
-   work from this record, rather than each capturing its own copy of
-   the send's arguments. *)
-type message = {
-  mnet : t;
+(* One message in flight, with the delivery function and its payload
+   rather than a delivery closure. One event closure over this record
+   serves as both the transmission-end event and the arrival event;
+   [on_wire] says which of the two is firing. *)
+type 'a message = {
   msrc : host;
   mdst : host;
   wire_bytes : int;
   dropped : bool; (* decided at send time *)
-  deliver : unit -> unit;
+  deliver : 'a -> unit;
+  payload : 'a;
+  mutable on_wire : bool; (* until the transmission ends *)
 }
 
 let arrive m =
-  let t = m.mnet in
+  let t = m.msrc.hnet in
   if m.dropped then begin
     t.messages_dropped <- t.messages_dropped + 1;
     if Obs.Metrics.on () then
@@ -160,20 +167,25 @@ let arrive m =
             ("bytes", Obs.Trace.Int m.wire_bytes) ]
         ()
   end
-  else if m.mdst.hup then m.deliver ()
+  else if m.mdst.hup then m.deliver m.payload
 
 (* The jitter draw happens at transmission end, so the random stream
-   follows the order in which transmissions finish. *)
-let transmitted m =
-  let t = m.mnet in
-  let delay =
-    t.params.latency
-    +. (if t.params.jitter > 0.0 then Sim.Rand.float t.rand *. t.params.jitter
-        else 0.0)
-  in
-  Sim.Engine.after t.engine delay (fun () -> arrive m)
+   follows the order in which transmissions finish. [ev] is the
+   message's own event closure, queued again for the arrival. *)
+let step m ev =
+  if m.on_wire then begin
+    m.on_wire <- false;
+    let t = m.msrc.hnet in
+    let delay =
+      t.params.latency
+      +. (if t.params.jitter > 0.0 then Sim.Rand.float t.rand *. t.params.jitter
+          else 0.0)
+    in
+    Sim.Engine.after t.engine delay ev
+  end
+  else arrive m
 
-let send t ~src ~dst ~bytes ~deliver =
+let send t ~src ~dst ~bytes ~deliver payload =
   if bytes < 0 then invalid_arg "Net.send: negative size";
   if not src.hup then () (* a dead host transmits nothing *)
   else begin
@@ -206,6 +218,17 @@ let send t ~src ~dst ~bytes ~deliver =
       Sim.Resource.reserve t.medium
         (float_of_int wire_bytes /. t.params.bandwidth)
     in
-    let m = { mnet = t; msrc = src; mdst = dst; wire_bytes; dropped; deliver } in
-    Sim.Engine.at t.engine finish (fun () -> transmitted m)
+    let m =
+      {
+        msrc = src;
+        mdst = dst;
+        wire_bytes;
+        dropped;
+        deliver;
+        payload;
+        on_wire = true;
+      }
+    in
+    let rec ev () = step m ev in
+    Sim.Engine.at t.engine finish ev
   end

@@ -77,11 +77,23 @@ module Host : sig
   val by_addr : net -> int -> t
 end
 
-(** [send t ~src ~dst ~bytes ~deliver] queues a message. [deliver] runs
-    at the destination when (and if) the message arrives; it must not
-    block (it should spawn or resume processes). *)
+(** [send t ~src ~dst ~bytes ~deliver payload] queues a message of
+    [bytes] bytes (plus framing). [deliver payload] runs at the
+    destination when (and if) the message arrives; it must not block
+    (it should spawn or resume processes). Passing the function and
+    its argument apart, rather than a closure over the argument, lets
+    the message reuse one event closure for both its transmission end
+    and its arrival: a message allocates its record and that closure,
+    and the caller builds nothing when [deliver] is a top-level
+    function. *)
 val send :
-  t -> src:Host.t -> dst:Host.t -> bytes:int -> deliver:(unit -> unit) -> unit
+  t ->
+  src:Host.t ->
+  dst:Host.t ->
+  bytes:int ->
+  deliver:('a -> unit) ->
+  'a ->
+  unit
 
 (** [partition t a b] silently discards all traffic between the two
     hosts, in both directions, until {!heal} — the network-partition

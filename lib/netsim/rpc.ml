@@ -238,15 +238,8 @@ type call = {
          or the attempt's retransmission timer wakes it *)
 }
 
-(* One execution of a call at the server. *)
-type request = {
-  call : call;
-  rsvc : service;
-  slot : int; (* the request's DRC slot *)
-  arrival : float; (* for the traced queueing delay; 0 untraced *)
-}
-
-let deliver_reply c reply =
+(* a reply travels as the pair of its call and itself *)
+let deliver_reply (c, reply) =
   if c.reply == no_reply then begin
     if Obs.Trace.on () then
       Obs.Trace.instant
@@ -261,11 +254,12 @@ let deliver_reply c reply =
 let send_reply c reply =
   Net.send c.rpc.net ~src:c.dst ~dst:c.src
     ~bytes:(Bytes.length reply.data + reply.bulk)
-    ~deliver:(fun () -> deliver_reply c reply)
+    ~deliver:deliver_reply (c, reply)
 
-(* The body of one executed request, on a server thread. *)
-let run_request r =
-  let c = r.call and svc = r.rsvc in
+(* The body of one executed request of call [c], on a server thread of
+   [svc] (the service [c.svc] names). [arrival] is when the request
+   reached the server, for the traced queueing delay; 0 untraced. *)
+let run_request c svc arrival =
   let t = c.rpc in
   let count = c.info.count in
   count := !count + 1;
@@ -292,7 +286,7 @@ let run_request r =
           (Obs.Causal.arg c.ctx
              [
                ("xid", Obs.Trace.Int c.xid);
-               ("queued", Obs.Trace.Float (server_now svc -. r.arrival));
+               ("queued", Obs.Trace.Float (server_now svc -. arrival));
              ])
         ()
     else Obs.Trace.none
@@ -307,18 +301,22 @@ let run_request r =
   if sp != Obs.Trace.none then Obs.Trace.finish ~ts:(server_now svc) sp;
   (* publish only if the slot still belongs to this xid: a colliding
      newer request may have evicted it while the handler ran *)
-  if svc.drc_xid.(r.slot) = c.xid then svc.drc_reply.(r.slot) <- reply;
+  let slot = c.xid land (drc_slots - 1) in
+  if svc.drc_xid.(slot) = c.xid then svc.drc_reply.(slot) <- reply;
   send_reply c reply
 
 (* one server thread for the request's whole execution *)
-let execute r =
-  let pool = r.rsvc.pool in
-  Sim.Semaphore.acquire pool;
-  match run_request r with
-  | () -> Sim.Semaphore.release pool
-  | exception e ->
-      Sim.Semaphore.release pool;
-      raise e
+let execute c arrival =
+  match c.svc with
+  | None -> () (* unreachable: only a served call is executed *)
+  | Some svc -> (
+      let pool = svc.pool in
+      Sim.Semaphore.acquire pool;
+      match run_request c svc arrival with
+      | () -> Sim.Semaphore.release pool
+      | exception e ->
+          Sim.Semaphore.release pool;
+          raise e)
 
 (* Runs on the server when a request message of call [c] arrives. *)
 let handle_request svc c =
@@ -348,14 +346,20 @@ let handle_request svc c =
     if svc.drc_xid.(slot) = -1 then svc.drc_used <- svc.drc_used + 1;
     svc.drc_xid.(slot) <- xid;
     svc.drc_reply.(slot) <- executing;
-    let arrival = if Obs.Trace.on () then server_now svc else 0.0 in
-    (* one request record and one spawned task per executed request
-       are the DRC's budgeted cost; duplicates were filtered above —
-       snfs-lint: allow hot-alloc *)
-    let r = { call = c; rsvc = svc; slot; arrival } in
-    Sim.Engine.spawn (Net.Host.engine svc.host) ~name:c.info.pname
-      (* snfs-lint: allow hot-alloc — the same per-request budget *)
-      (fun () -> execute r)
+    let engine = Net.Host.engine svc.host in
+    (* the arrival time is taken only when tracing: a float captured by
+       the untraced closure would be boxed, 3 more words per executed
+       request *)
+    if Obs.Trace.on () then begin
+      let arrival = server_now svc in
+      Sim.Engine.spawn engine ~name:c.info.pname (fun () -> execute c arrival)
+    end
+    else
+      Sim.Engine.spawn engine ~name:c.info.pname
+        (* one spawned task per executed request is the DRC's budgeted
+           cost; duplicates were filtered above —
+           snfs-lint: allow hot-alloc *)
+        (fun () -> execute c 0.0)
   end
 
 let deliver_request c =
@@ -366,7 +370,7 @@ let deliver_request c =
 let transmit c =
   Net.send c.rpc.net ~src:c.src ~dst:c.dst
     ~bytes:(Bytes.length c.args + c.bulk)
-    ~deliver:(fun () -> deliver_request c)
+    ~deliver:deliver_request c
 
 (* The retransmission timer of one attempt. Only the current attempt's
    timer can find the client still parked: an earlier attempt's timer

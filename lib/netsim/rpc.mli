@@ -20,9 +20,9 @@
     transmits, arms that attempt's retransmission timer, and parks in
     the record's {!Sim.Engine.slot}; the reply's delivery or the timer,
     whichever comes first, unparks it, and the record says which. A
-    request the duplicate-request cache has not seen gets a request
-    record and one spawned process, which holds a thread of the
-    program's pool for the whole execution. A null call with no loss
+    request the duplicate-request cache has not seen gets one spawned
+    process, which holds a thread of the program's pool for the whole
+    execution. A null call with no loss
     is eight engine events: client CPU, transmission end, delivery,
     server process start, server CPU, transmission end, delivery of the
     reply (which wakes the client), and the spent retransmission timer.

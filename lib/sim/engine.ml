@@ -25,14 +25,17 @@ type t = {
   (* The two suspensions, built once per engine: the effect value each
      one performs, and the [Some handler] its effect clause answers
      with. Performing [Sleep t] or [Park t] therefore allocates only
-     the continuation and, for [sleep], its wake-up event. *)
+     the continuation: [sleep] queues the continuation itself as its
+     wake-up event, and [park] stores it in the slot. *)
   sleep_eff : unit Effect.t;
   on_sleep : ((unit, unit) Effect.Deep.continuation -> unit) option;
   park_eff : unit Effect.t;
   on_park : ((unit, unit) Effect.Deep.continuation -> unit) option;
 }
 
-and slot = { mutable parked : (unit, unit) Effect.Deep.continuation option }
+(* [Eventq.no_k] when empty, so parking stores the continuation
+   without a [Some] box *)
+and slot = { mutable parked : (unit, unit) Effect.Deep.continuation }
 
 type _ Effect.t += Sleep : t -> unit Effect.t | Park : t -> unit Effect.t
 
@@ -46,17 +49,16 @@ let create () =
       events = 0;
       queue = Eventq.create ();
       timers = Eventq.create ();
-      parking = { parked = None };
+      parking = { parked = Eventq.no_k };
       sleep_eff = Sleep t;
       on_sleep =
         Some
           (fun k ->
             let seq = t.seq in
             t.seq <- seq + 1;
-            Eventq.push t.queue ~time:t.wake.(0) ~seq (fun () ->
-                Effect.Deep.continue k ()));
+            Eventq.push_k t.queue ~at:t.wake ~seq k);
       park_eff = Park t;
-      on_park = Some (fun k -> t.parking.parked <- Some k);
+      on_park = Some (fun k -> t.parking.parked <- k);
     }
   in
   (* registered at creation, so the gauges exist whenever a registry is
@@ -134,29 +136,31 @@ let stop t = t.stopped <- true
 
 (* The heap holding the globally earliest event, by full (time, seq)
    key, so the merged order matches what a single heap would produce.
-   Returns the (empty) timer heap when both are empty — the dispatch
-   loop's pop_until turns that into its stop sentinel. *)
+   Returns the (empty) timer heap when both are empty, which the
+   dispatch loop's [due] check then refuses. *)
 let next_queue t =
   if Eventq.is_empty t.queue then t.timers
   else if Eventq.is_empty t.timers || Eventq.precedes t.queue t.timers then
     t.queue
   else t.timers
 
-(* Two out-of-line calls per dispatched event (next_queue's precedes
-   and pop_until, which advances the clock cell unboxed) — the loop
-   itself allocates nothing and compares nothing it doesn't need. *)
+(* Per dispatched event: next_queue's [precedes], the [due] check, and
+   [fire], which advances the clock cell unboxed and calls the closure
+   or resumes the continuation — the loop itself allocates nothing and
+   compares nothing it doesn't need. The count is bumped before the
+   event runs, so an event that raises is still counted. *)
 let dispatch_until t limit =
   t.stopped <- false;
   let continue_loop = ref true in
   while !continue_loop do
     if t.stopped then continue_loop := false
     else begin
-      let fn = Eventq.pop_until (next_queue t) limit t.now in
-      if fn == Eventq.nop then continue_loop := false
-      else begin
+      let q = next_queue t in
+      if Eventq.due q limit then begin
         t.events <- t.events + 1;
-        fn ()
+        Eventq.fire q t.now
       end
+      else continue_loop := false
     end
   done
 
@@ -173,8 +177,8 @@ let sleep t d =
 
 let yield t = sleep t 0.0
 
-let slot () = { parked = None }
-let parked s = match s.parked with Some _ -> true | None -> false
+let slot () = { parked = Eventq.no_k }
+let parked s = s.parked != Eventq.no_k
 
 let park t s =
   if parked s then invalid_arg "Engine.park: slot already holds a process";
@@ -182,8 +186,7 @@ let park t s =
   Effect.perform t.park_eff
 
 let unpark s =
-  match s.parked with
-  | None -> invalid_arg "Engine.unpark: no process parked"
-  | Some k ->
-      s.parked <- None;
-      Effect.Deep.continue k ()
+  let k = s.parked in
+  if k == Eventq.no_k then invalid_arg "Engine.unpark: no process parked";
+  s.parked <- Eventq.no_k;
+  Effect.Deep.continue k ()

@@ -8,10 +8,10 @@
     scheduled.
 
     Each of the two suspensions has its own effect, answered without
-    building closures, so a wait costs its continuation (plus, for
-    [sleep], the wake-up event). Waits that hand a value to the woken
-    process ({!Ivar}, {!Mailbox}) park in a slot and leave the value
-    in their own state. *)
+    building closures, so a wait costs its continuation and nothing
+    else: [sleep] queues the continuation itself as its wake-up event.
+    Waits that hand a value to the woken process ({!Ivar}, {!Mailbox})
+    park in a slot and leave the value in their own state. *)
 
 type t
 

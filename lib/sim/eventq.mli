@@ -1,7 +1,13 @@
 (** Binary min-heap of timestamped events.
 
     Events are ordered by time; ties are broken by insertion sequence
-    number so that the simulation is fully deterministic. *)
+    number so that the simulation is fully deterministic.
+
+    An event is either a closure, called when it fires, or a
+    suspended process's continuation, resumed when it fires. The heap
+    itself holds only each event's (time, seq) key and the number of
+    the slot its payload sits in, so reordering the heap stores no
+    pointer; push and pop allocate nothing. *)
 
 type t
 
@@ -10,7 +16,22 @@ val create : unit -> t
 (** [push t ~time ~seq fn] inserts event [fn] to fire at [time]. *)
 val push : t -> time:float -> seq:int -> (unit -> unit) -> unit
 
-(** Earliest event, by (time, seq). Raises [Not_found] if empty. *)
+(** [push_k t ~at ~seq k] inserts an event that resumes [k] (with
+    [()]) at time [at.(0)]. The time travels in a float cell (the
+    engine's wake-up cell) rather than as a float argument, which is
+    boxed wherever the call is not inlined, so queuing a suspended
+    process allocates nothing in any build. Raises [Invalid_argument]
+    if [k] is {!no_k}. *)
+val push_k :
+  t ->
+  at:float array ->
+  seq:int ->
+  (unit, unit) Effect.Deep.continuation ->
+  unit
+
+(** Earliest event, by (time, seq). Raises [Not_found] if empty, and
+    [Invalid_argument] if that event is a continuation (only {!fire}
+    resumes those). *)
 val pop : t -> float * int * (unit -> unit)
 
 (** Time of the earliest event. Raises [Not_found] if empty. Does not
@@ -30,23 +51,29 @@ val min_seq : t -> int
     is fine, but two per event plus the seq reads added up). *)
 val precedes : t -> t -> bool
 
-(** The do-nothing closure used to fill freed queue slots, and the
-    sentinel {!pop_until} returns when it has nothing to dispatch.
-    Compare with [==]. *)
+(** The do-nothing closure used to fill the closure slots of events
+    that are not closures. Compare with [==]. *)
 val nop : unit -> unit
 
-(** [pop_until t limit cell] pops the earliest event if its time is
-    [<= limit], stores that time in [cell.(0)] (unboxed — meant for
-    the engine's clock cell) and returns its closure. Returns {!nop},
-    without popping, if the queue is empty or the top is later than
-    [limit]. The engine never enqueues {!nop} itself, so a [==] test
-    against it is unambiguous. *)
-val pop_until : t -> float -> float array -> unit -> unit
+(** A continuation that is never resumed: the value of every slot
+    that holds no process, here and in the engine's park slots.
+    Compare with [==]. Resuming it raises [Invalid_argument]. *)
+val no_k : (unit, unit) Effect.Deep.continuation
+
+(** [due t limit] is true when [t] is non-empty and its earliest event
+    is at a time [<= limit]. *)
+val due : t -> float -> bool
+
+(** [fire t cell] removes the earliest event, stores its time in
+    [cell.(0)] (unboxed — meant for the engine's clock cell), and runs
+    it: calls its closure or resumes its continuation. The event's
+    slot is cleared first, so a fired payload is not retained. Raises
+    [Not_found] if empty. Read {!due} first to bound the time. *)
+val fire : t -> float array -> unit
 
 (** Remove and return the earliest event's closure (by (time, seq)).
-    Raises [Not_found] if empty. The zero-allocation half of the
-    engine's dispatch pair: read {!min_time} first if the timestamp is
-    needed. *)
+    Raises as {!pop} does. The zero-allocation form of {!pop}: read
+    {!min_time} first if the timestamp is needed. *)
 val pop_fn : t -> unit -> unit
 
 val is_empty : t -> bool

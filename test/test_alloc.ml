@@ -13,12 +13,15 @@
    Allocation accounting is only exact on the native-code backend, so
    the tests are skipped under bytecode.
 
-   The suspension and RPC round-trip paths cannot be free (a blocked
-   process is a continuation, and every event is a closure), so they
-   get upper-bound budgets instead, measured the same way. The budgets
-   sit a little above what the paths allocate today (DESIGN.md section
-   11.1, rule 8, gives the figures): tight enough that bringing back a
-   per-suspension closure or a per-call [Some] box fails here.
+   A suspension cannot be free (a blocked process is a continuation),
+   but it costs exactly that: [Engine.sleep] queues the continuation
+   itself and a park slot holds it unboxed, so both are pinned at the
+   words of a bare continuation, measured here under a handler of the
+   test's own. Spawning and the RPC round trip get upper-bound budgets
+   instead, measured the same way. The budgets sit a little above what
+   the paths allocate today (DESIGN.md section 11.1, rule 8, gives the
+   figures): tight enough that bringing back a per-message closure or
+   a per-request record fails here.
 
    The block cache's steady state is exact (rule 9): a hit allocates
    only its (stamp, len) result, and a delayed write to a resident
@@ -84,9 +87,10 @@ let test_eventq_cycle () =
         push_mixed q i
       done;
       for _ = 1 to 100 do
-        let fn = Sim.Eventq.pop_until q infinity cell in
-        assert (fn == Sim.Eventq.nop)
+        assert (Sim.Eventq.due q infinity);
+        Sim.Eventq.fire q cell
       done;
+      assert (not (Sim.Eventq.due q infinity));
       assert (Sim.Eventq.is_empty q))
 
 let test_eventq_pop_fn () =
@@ -170,11 +174,71 @@ let in_process f =
   Sim.Engine.spawn e ~name:"test" (fun () -> f e);
   Sim.Engine.run e
 
-let test_sleep_budget () =
-  (* the continuation plus its wake-up event; no register or resume
-     closures, no effect payload *)
-  in_process (fun e ->
-      check_budget "Engine.sleep" ~words:10.0 (fun () -> Sim.Engine.sleep e 1.0))
+(* The words one suspension costs at the least: a bare [perform] under
+   a handler that keeps the continuation, resumed from outside the
+   fiber. Neither the handler (built once, below) nor the resumption
+   allocates, so this is the continuation itself. *)
+type _ Effect.t += Bare : unit Effect.t
+
+let kept : (unit, unit) Effect.Deep.continuation ref = ref Sim.Eventq.no_k
+let on_bare = Some (fun k -> kept := k)
+
+let bare_handler : (unit, unit) Effect.Deep.handler =
+  {
+    retc = (fun () -> ());
+    exnc = raise;
+    effc =
+      (fun (type b) (eff : b Effect.t) :
+           ((b, unit) Effect.Deep.continuation -> unit) option ->
+        match eff with Bare -> on_bare | _ -> None);
+  }
+
+let continuation_words () =
+  let words = ref nan in
+  let suspend () = Effect.perform Bare in
+  let run () =
+    Effect.Deep.match_with (fun () -> words := measure suspend) () bare_handler;
+    let k = !kept in
+    kept := Sim.Eventq.no_k;
+    Effect.Deep.continue k ()
+  in
+  run ();
+  run ();
+  !words
+
+let check_exact name ~words used =
+  Alcotest.(check (float 0.0)) (name ^ " allocates its continuation") words
+    used
+
+let test_sleep_exact () =
+  (* the continuation is the wake-up event: no wake closure, no effect
+     payload, no boxed wake-up time *)
+  if native then begin
+    let k_words = continuation_words () in
+    Alcotest.(check bool) "a continuation is a few words" true
+      (k_words > 0.0 && k_words <= 4.0);
+    in_process (fun e ->
+        Sim.Engine.sleep e 1.0;
+        check_exact "Engine.sleep" ~words:k_words
+          (measure (fun () -> Sim.Engine.sleep e 1.0)))
+  end
+
+let test_park_exact () =
+  (* the wake-up is queued before the measurement starts, so the
+     window holds the park, the dispatch of the waking event and the
+     unpark: the slot keeps the continuation without a [Some] box *)
+  if native then begin
+    let k_words = continuation_words () in
+    in_process (fun e ->
+        let s = Sim.Engine.slot () in
+        let wake () = Sim.Engine.unpark s in
+        Sim.Engine.after e 1.0 wake;
+        Sim.Engine.park e s;
+        Sim.Engine.after e 1.0 wake;
+        check_exact "Engine.park and unpark" ~words:k_words
+          (measure (fun () -> Sim.Engine.park e s));
+        Alcotest.(check bool) "slot emptied" false (Sim.Engine.parked s))
+  end
 
 let test_spawn_budget () =
   (* from outside any process: spawning, starting the fiber under the
@@ -205,7 +269,7 @@ let test_null_rpc_budget () =
      request, the client's wait and the retransmission timer *)
   in_process (fun e ->
       let call = null_world e in
-      check_budget "null Rpc.call round trip" ~words:180.0 call;
+      check_budget "null Rpc.call round trip" ~words:136.0 call;
       Sim.Engine.stop e)
 
 let test_null_rpc_events () =
@@ -286,12 +350,12 @@ let test_localfs_budgets () =
           ignore (Sys.opaque_identity (Localfs.lookup fs ~dir:root "f"))))
 
 (* End to end: minor words per simulation event over one SNFS Andrew
-   run (seed 1, 41903 events). The OCaml 5.1 dev build measures 34.00
-   (39.16 before the block cache lost its probe closures); the budget
-   is about 5% above. A per-operation closure or option brought back
-   on any layer shows up here even where no primitive budget covers
-   it. *)
-let words_per_event_budget = 35.7
+   run (seed 1, 41903 events). The OCaml 5.1 dev build measures 29.03
+   (39.16 before the block cache lost its probe closures, 34.00 before
+   the wake-ups and RPC legs lost theirs); the budget is about 5%
+   above. A per-operation closure or option brought back on any layer
+   shows up here even where no primitive budget covers it. *)
+let words_per_event_budget = 30.5
 
 let test_andrew_words_per_event () =
   if native then begin
@@ -332,7 +396,8 @@ let () =
         ] );
       ( "suspension and RPC budgets",
         [
-          Alcotest.test_case "sleep" `Quick test_sleep_budget;
+          Alcotest.test_case "sleep" `Quick test_sleep_exact;
+          Alcotest.test_case "park and unpark" `Quick test_park_exact;
           Alcotest.test_case "spawn to completion" `Quick test_spawn_budget;
           Alcotest.test_case "null RPC round trip" `Quick test_null_rpc_budget;
           Alcotest.test_case "null RPC events" `Quick test_null_rpc_events;

@@ -68,6 +68,218 @@ let prop_eventq_sorted =
       in
       sorted popped && List.length popped = List.length items)
 
+(* A suspended fiber whose resumption logs [tag]: the continuation a
+   sleeping process leaves in the queue, built under a handler of the
+   test's own. *)
+type _ Effect.t += Hold : unit Effect.t
+
+let held : (unit, unit) Effect.Deep.continuation ref = ref Sim.Eventq.no_k
+
+let suspended log tag =
+  Effect.Deep.try_with
+    (fun () ->
+      Effect.perform Hold;
+      log tag)
+    ()
+    {
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Hold -> Some (fun (k : (a, unit) Effect.Deep.continuation) -> held := k)
+          | _ -> None);
+    };
+  let k = !held in
+  held := Sim.Eventq.no_k;
+  k
+
+type op = Push_fn of int | Push_k of int | Fire
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun t -> Push_fn t) (int_range 0 20));
+        (3, map (fun t -> Push_k t) (int_range 0 20));
+        (2, return Fire);
+      ])
+
+(* Interleaved pushes of closures and continuations with fires, enough
+   of them to grow past the initial 64 slots and to reuse freed ones:
+   every fire must run exactly the event a reference sort by
+   (time, seq) puts first, and report its time. Times are quarter
+   steps over a small range, so ties on time are common. *)
+let prop_eventq_reference =
+  QCheck.Test.make ~name:"eventq fires in (time, seq) order of a reference sort"
+    ~count:100
+    QCheck.(make Gen.(list_size (int_range 150 400) op_gen))
+    (fun ops ->
+      let q = Sim.Eventq.create () in
+      let cell = [| 0.0 |] in
+      let fired = ref (-1) in
+      let log seq () = fired := seq in
+      let model = ref [] and next = ref 0 and peak = ref 0 in
+      let ok = ref true in
+      let fire_one () =
+        let sorted = List.sort compare !model in
+        let time, seq = List.hd sorted in
+        model := List.tl sorted;
+        fired := -1;
+        Sim.Eventq.fire q cell;
+        if !fired <> seq || cell.(0) <> time then ok := false
+      in
+      let push time k =
+        let seq = !next in
+        incr next;
+        model := (time, seq) :: !model;
+        if k then Sim.Eventq.push_k q ~at:[| time |] ~seq (suspended (log seq) ())
+        else Sim.Eventq.push q ~time ~seq (log seq);
+        peak := max !peak (Sim.Eventq.length q)
+      in
+      List.iter
+        (function
+          | Push_fn t -> push (float_of_int t /. 4.0) false
+          | Push_k t -> push (float_of_int t /. 4.0) true
+          | Fire -> if !model <> [] then fire_one ())
+        ops;
+      while !model <> [] do
+        fire_one ()
+      done;
+      QCheck.assume (!peak > 64);
+      !ok && Sim.Eventq.is_empty q)
+
+type kind = Closure | Sleep | Timer
+
+(* The same, through the engine: closure events, sleeping processes
+   and watchdog timers scheduled at time 0, in both of the engine's
+   heaps. Item [i] is scheduled [i]th, so its sequence number is [i],
+   except that a sleep takes its number when its process starts: after
+   all [n] items, in the order of the items that spawned them. *)
+let prop_engine_reference =
+  QCheck.Test.make
+    ~name:"closures, sleeps and timers run in (time, seq) order" ~count:100
+    QCheck.(
+      make
+        Gen.(
+          list_size (int_range 150 400)
+            (pair (oneofl [ Closure; Sleep; Timer ]) (int_range 0 20))))
+    (fun items ->
+      let e = Sim.Engine.create () in
+      let ran = ref [] in
+      let n = List.length items in
+      let sleeps = ref 0 in
+      let keys =
+        List.mapi
+          (fun i (kind, t) ->
+            let time = float_of_int t /. 4.0 in
+            let log () = ran := i :: !ran in
+            match kind with
+            | Closure ->
+                Sim.Engine.at e time log;
+                (time, i, i)
+            | Timer ->
+                Sim.Engine.timer e time log;
+                (time, i, i)
+            | Sleep ->
+                Sim.Engine.spawn e (fun () ->
+                    Sim.Engine.sleep e time;
+                    log ());
+                let seq = n + !sleeps in
+                incr sleeps;
+                (time, seq, i))
+          items
+      in
+      Sim.Engine.run e;
+      let expected =
+        List.map (fun (_, _, i) -> i) (List.sort compare keys)
+      in
+      List.rev !ran = expected)
+
+(* Weak pointers to what a fired event held: after a full major
+   collection they must be empty, so the queue kept no reference. *)
+let collectable w =
+  Gc.full_major ();
+  Weak.get w 0 = None
+
+let[@inline never] push_watched q w =
+  let payload = Sys.opaque_identity (ref 42) in
+  let fn () = ignore (Sys.opaque_identity !payload) in
+  Weak.set w 0 (Some fn);
+  Sim.Eventq.push q ~time:1.0 ~seq:0 fn
+
+let[@inline never] sleeper e w () =
+  let payload = Sys.opaque_identity (ref 42) in
+  Weak.set w 0 (Some payload);
+  Sim.Engine.sleep e 1.0;
+  ignore (Sys.opaque_identity !payload)
+
+let[@inline never] parker e s w () =
+  let payload = Sys.opaque_identity (ref 42) in
+  Weak.set w 0 (Some payload);
+  Sim.Engine.park e s;
+  ignore (Sys.opaque_identity !payload)
+
+let test_eventq_retention () =
+  let q = Sim.Eventq.create () in
+  let wf = Weak.create 1 in
+  push_watched q wf;
+  Sim.Eventq.fire q [| 0.0 |];
+  Alcotest.(check bool) "fired closure collectable" true (collectable wf);
+  push_watched q wf;
+  (Sim.Eventq.pop_fn q) ();
+  Alcotest.(check bool) "popped closure collectable" true (collectable wf);
+  let w = Weak.create 1 in
+  let e = Sim.Engine.create () in
+  Sim.Engine.spawn e (sleeper e w);
+  Sim.Engine.run e;
+  Alcotest.(check bool) "slept continuation's payload collectable" true
+    (collectable w);
+  let s = Sim.Engine.slot () in
+  Sim.Engine.spawn e (parker e s w);
+  Sim.Engine.after e 1.0 (fun () -> Sim.Engine.unpark s);
+  Sim.Engine.run e;
+  Alcotest.(check bool) "parked continuation's payload collectable" true
+    (collectable w)
+
+(* The empty-slot sentinel raises if it is ever resumed. Drive every
+   path that empties a slot or races for one — sleeps, parks woken by
+   events and by timers that find the slot already empty, reuse of
+   one slot, unparks of an empty slot — and the run must finish with
+   every process done, so no event and no unpark reached it. *)
+let test_sentinel_never_resumed () =
+  let e = Sim.Engine.create () in
+  let done_ = ref 0 in
+  let s = Sim.Engine.slot () in
+  let wake () = if Sim.Engine.parked s then Sim.Engine.unpark s in
+  let procs = 50 in
+  for i = 1 to procs do
+    Sim.Engine.spawn e (fun () ->
+        Sim.Engine.sleep e (float_of_int (i mod 7));
+        let own = Sim.Engine.slot () in
+        Sim.Engine.timer e 0.5 (fun () ->
+            if Sim.Engine.parked own then Sim.Engine.unpark own);
+        Sim.Engine.after e 0.25 (fun () ->
+            if Sim.Engine.parked own then Sim.Engine.unpark own);
+        Sim.Engine.park e own;
+        (match Sim.Engine.unpark own with
+        | () -> Alcotest.fail "unpark of an empty slot returned"
+        | exception Invalid_argument m ->
+            Alcotest.(check string) "the engine's own refusal"
+              "Engine.unpark: no process parked" m);
+        while Sim.Engine.parked s do
+          Sim.Engine.sleep e 0.05
+        done;
+        Sim.Engine.after e 0.1 wake;
+        Sim.Engine.park e s;
+        incr done_)
+  done;
+  Sim.Engine.run e;
+  Alcotest.(check int) "every process finished" procs !done_;
+  Alcotest.(check bool) "shared slot empty" false (Sim.Engine.parked s);
+  Alcotest.check_raises "the sentinel is never queued"
+    (Invalid_argument "Eventq.push_k: the empty-slot sentinel") (fun () ->
+      Sim.Eventq.push_k (Sim.Eventq.create ()) ~at:[| 0.0 |] ~seq:0
+        Sim.Eventq.no_k)
+
 (* ---- engine ---- *)
 
 let test_clock_advances () =
@@ -448,8 +660,14 @@ let () =
           Alcotest.test_case "time order" `Quick test_eventq_order;
           Alcotest.test_case "sequence ties" `Quick test_eventq_ties;
           Alcotest.test_case "pop empty" `Quick test_eventq_empty;
+          Alcotest.test_case "fired payloads collectable" `Quick
+            test_eventq_retention;
+          Alcotest.test_case "sentinel never resumed" `Quick
+            test_sentinel_never_resumed;
         ]
-        @ qc [ prop_eventq_sorted ] );
+        @ qc
+            [ prop_eventq_sorted; prop_eventq_reference; prop_engine_reference ]
+      );
       ( "engine",
         [
           Alcotest.test_case "clock advances" `Quick test_clock_advances;
